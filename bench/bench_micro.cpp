@@ -529,6 +529,69 @@ BENCHMARK(BM_ServerThroughput)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// Session-store cost as the store grows: the time per request must stay
+// flat from 1k to 64k sessions. One shard on a pool of 1. The store is
+// prefilled to max_sessions (Arg) outside the timed loop; each iteration
+// then submits 64 never-seen UEs and polls once, so every request creates
+// a session and evicts the LRU victim (TTL on, nothing idle long enough
+// to expire). Windows hold 2 records, which keeps the largest row at
+// ~30 MB of ring storage. Degradation is off: the full 64-request queue
+// would otherwise send every request to the harmonic tail, and each
+// request walks the L+M tier as a first contact does in serving.
+void BM_ServerSessions(benchmark::State& state) {
+  static const std::vector<data::SampleRecord>* samples = [] {
+    auto* v = new std::vector<data::SampleRecord>;
+    const auto& ds = airport_ds();
+    for (std::size_t i = 0; i < ds.size() && v->size() < 256; ++i) {
+      v->push_back(ds[i]);
+    }
+    return v;
+  }();
+  constexpr std::size_t kBatch = 64;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ThreadPool::global().set_threads(1);
+  ManualClock clock;
+  serve::ServerConfig cfg;
+  cfg.queue_capacity = kBatch;
+  cfg.shed_watermark = 1.0;
+  cfg.degrade_watermarks.clear();  // a full queue must not skip the model
+  cfg.max_batch = kBatch;
+  cfg.max_sessions = n;
+  cfg.session_capacity = 2;
+  cfg.session_ttl_ms = 3'600'000;
+  cfg.num_shards = 1;
+  serve::Server server(serve::Predictor(serve_predictor()), cfg, clock);
+  std::vector<serve::Response> out(kBatch);
+  std::uint64_t ue = 0;
+  const auto batch = [&] {
+    for (std::size_t i = 0; i < kBatch; ++i, ++ue) {
+      if (!server.submit({ue, (*samples)[ue % samples->size()], 0})) {
+        std::abort();
+      }
+    }
+    clock.advance_ms(1);
+    return server.poll(out);
+  };
+  while (server.n_sessions() < n) batch();
+  const std::uint64_t evicted_before = server.stats().evicted_lru;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batch());
+  }
+  ThreadPool::global().set_threads(0);
+  const auto requests =
+      state.iterations() * static_cast<std::int64_t>(kBatch);
+  if (server.stats().evicted_lru - evicted_before !=
+      static_cast<std::uint64_t>(requests)) {
+    std::abort();  // some request did not take the eviction path
+  }
+  state.SetItemsProcessed(requests);
+}
+BENCHMARK(BM_ServerSessions)
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Arg(65536)
+    ->Unit(benchmark::kMicrosecond);
+
 // The SIMD columnar walk in isolation: the same flattened 300-tree GBDT
 // scores the full feature matrix through predict_columnar() with the
 // vector kernel forced off (simd:0 — the scalar level-synchronous walk)

@@ -10,6 +10,8 @@
 // window of SampleRecords and the app feeds one record per second via
 // observe(). Batched prediction over many sessions is chunked across
 // lumos::ThreadPool and is bit-identical at any LUMOS_THREADS setting.
+// (serve::Server keeps the same windows in its own preallocated ring
+// store; Session is the standalone form for apps and tests.)
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,7 @@ class Session {
     }
     // Bounded: capacity_ was reserved at construction and the erase above
     // keeps size < capacity_, so this never reallocates.
-    window_.push_back(sample);  // lumos-lint: allow(hot-path-alloc) reserved at construction, never grows
+    window_.push_back(sample);
   }
 
   std::span<const data::SampleRecord> window() const noexcept {

@@ -1,10 +1,13 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 
+#include "common/contracts.h"
 #include "common/parallel.h"
 #include "serve/model_io.h"
 
@@ -27,9 +30,10 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
                                   static_cast<double>(cfg_.queue_capacity)));
 
   // Every buffer the serving path touches is allocated here, once: the
-  // per-shard admission rings and poll() window/result arenas plus the
-  // global merge arena. After construction, submit() and poll() never
-  // allocate (enforced by the lumos_lint reachability pass).
+  // per-shard admission rings and poll() window/result arenas, the
+  // global merge arena, and the session store below. After construction,
+  // submit() and poll() never allocate (enforced by the lumos_lint
+  // reachability pass).
   n_shards_ = cfg_.num_shards != 0 ? cfg_.num_shards
                                    : ThreadPool::global().threads();
   n_shards_ = std::max<std::size_t>(1, n_shards_);
@@ -47,6 +51,35 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
     sh.scratch_.reserve(cfg_.max_batch, predictor_.max_width());
   }
   batch_arena_.resize(cfg_.max_batch);
+  busy_shards_.resize(n_shards_);
+
+  // The session store. Slot links and ring cursors are 32-bit, with
+  // kNil (UINT32_MAX) reserved as the null link. Every slot starts on the
+  // free list in index order, so the first session takes slot 0.
+  LUMOS_EXPECTS(cfg_.max_sessions < kNil, "max_sessions must fit a u32 link");
+  LUMOS_EXPECTS(cfg_.session_capacity < kNil,
+                "session_capacity must fit a u32 ring cursor");
+  slots_.resize(cfg_.max_sessions);
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    slots_[s].next =
+        s + 1 < slots_.size() ? static_cast<std::uint32_t>(s + 1) : kNil;
+  }
+  free_head_ = 0;
+  index_.assign(std::bit_ceil(2 * cfg_.max_sessions), 0);
+  index_mask_ = index_.size() - 1;
+  // Raw ring storage, allocated last so nothing can throw after it (the
+  // destructor would not run). Records are constructed on first write, so
+  // the pages of slots never used are never touched.
+  records_ = std::allocator<data::SampleRecord>().allocate(
+      cfg_.max_sessions * cfg_.session_capacity);
+}
+
+Server::~Server() {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    std::destroy_n(records_ + s * cfg_.session_capacity, slots_[s].built);
+  }
+  std::allocator<data::SampleRecord>().deallocate(
+      records_, cfg_.max_sessions * cfg_.session_capacity);
 }
 
 Expected<std::uint64_t> Server::submit(const Request& req) {
@@ -118,63 +151,129 @@ std::size_t Server::min_tier_for_depth(std::size_t depth) const noexcept {
   return std::min(tier, predictor_.tier_specs().size());
 }
 
-Server::SessionEntry& Server::touch_session(std::uint64_t ue,
-                                            std::uint64_t now) {
-  Shard& home = shards_[shard_of(ue)];
-  auto it = home.sessions_.find(ue);
-  if (it == home.sessions_.end()) {
-    if (n_sessions_ >= cfg_.max_sessions) {
-      // Evict the least-recently-used entry ACROSS ALL SHARDS — the LRU
-      // capacity is global, exactly as in the single-shard server, so the
-      // victim set never depends on num_shards. use_seq_ gives a strict,
-      // clock-independent recency order, so the victim is deterministic
-      // even when many sessions share one coarse timestamp.
-      Shard* victim_shard = nullptr;
-      std::map<std::uint64_t, SessionEntry>::iterator victim;
-      for (std::size_t s = 0; s < n_shards_; ++s) {
-        auto& sess = shards_[s].sessions_;
-        for (auto cand = sess.begin(); cand != sess.end(); ++cand) {
-          if (victim_shard == nullptr ||
-              cand->second.last_used_seq < victim->second.last_used_seq) {
-            victim_shard = &shards_[s];
-            victim = cand;
-          }
-        }
-      }
-      if (victim_shard != nullptr) {
-        victim_shard->sessions_.erase(victim);
-        --n_sessions_;
-        ++stats_.evicted_lru;
-      }
-    }
-    // First contact for this UE: the one amortized allocation on the
-    // serving path (a map node + the session's reserved window). Steady
-    // state — every UE already seen — allocates nothing.
-    it = home.sessions_.emplace(ue, SessionEntry{Session(cfg_.session_capacity),  // lumos-lint: allow(hot-path-alloc) first-contact session creation, amortized
-                                                 now, 0}).first;
-    ++n_sessions_;
+void Server::unlink(std::uint32_t slot) noexcept {
+  const Slot& x = slots_[slot];
+  if (x.prev != kNil) {
+    slots_[x.prev].next = x.next;
+  } else {
+    lru_head_ = x.next;
   }
-  it->second.last_used_ms = now;
-  it->second.last_used_seq = ++use_seq_;
-  return it->second;
+  if (x.next != kNil) {
+    slots_[x.next].prev = x.prev;
+  } else {
+    lru_tail_ = x.prev;
+  }
 }
 
-void Server::evict_expired_sessions(std::uint64_t now) {
-  if (cfg_.session_ttl_ms == 0) return;
-  // Shards ascending, then map order within a shard: the evicted SET is
-  // the TTL predicate's, identical to the single-map sweep; only the
-  // bookkeeping order differs, and no observable output depends on it.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    auto& sess = shards_[s].sessions_;
-    for (auto it = sess.begin(); it != sess.end();) {
-      if (it->second.last_used_ms + cfg_.session_ttl_ms < now) {
-        it = sess.erase(it);
-        --n_sessions_;
-        ++stats_.evicted_ttl;
-      } else {
-        ++it;
-      }
+void Server::link_tail(std::uint32_t slot) noexcept {
+  Slot& x = slots_[slot];
+  x.prev = lru_tail_;
+  x.next = kNil;
+  if (lru_tail_ != kNil) {
+    slots_[lru_tail_].next = slot;
+  } else {
+    lru_head_ = slot;
+  }
+  lru_tail_ = slot;
+}
+
+void Server::index_insert(std::uint64_t ue, std::uint32_t slot) noexcept {
+  std::size_t pos = home_of(ue);
+  while (index_[pos] != 0) pos = (pos + 1) & index_mask_;
+  index_[pos] = slot + 1;
+}
+
+void Server::index_erase(std::uint32_t slot) noexcept {
+  // Matching on the slot number finds the entry without reading the
+  // headers of the entries probed on the way.
+  std::size_t hole = home_of(slots_[slot].ue);
+  while (index_[hole] != slot + 1) hole = (hole + 1) & index_mask_;
+  // Backward shift: walk the rest of the probe run and move each entry
+  // whose home lies at or before the hole (cyclically) into it, so every
+  // entry stays reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & index_mask_; index_[j] != 0;
+       j = (j + 1) & index_mask_) {
+    const std::size_t home = home_of(slots_[index_[j] - 1].ue);
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
     }
+  }
+  index_[hole] = 0;
+}
+
+void Server::release_slot(std::uint32_t slot) noexcept {
+  index_erase(slot);
+  unlink(slot);
+  slots_[slot].next = free_head_;
+  free_head_ = slot;
+  --n_sessions_;
+}
+
+std::uint32_t Server::touch_session(std::uint64_t ue,
+                                    std::uint64_t now) noexcept {
+  for (std::size_t pos = home_of(ue); index_[pos] != 0;
+       pos = (pos + 1) & index_mask_) {
+    const std::uint32_t slot = index_[pos] - 1;
+    if (slots_[slot].ue == ue) {
+      if (slot != lru_tail_) {
+        unlink(slot);
+        link_tail(slot);
+      }
+      slots_[slot].last_used_ms = now;
+      return slot;
+    }
+  }
+  // First contact. The capacity is global, and the recency head is the
+  // least recently touched session — exactly the LRU victim.
+  if (n_sessions_ >= cfg_.max_sessions) {
+    release_slot(lru_head_);
+    ++stats_.evicted_lru;
+  }
+  const std::uint32_t slot = free_head_;
+  Slot& x = slots_[slot];
+  free_head_ = x.next;
+  x.ue = ue;
+  x.last_used_ms = now;
+  x.head = 0;
+  x.size = 0;
+  link_tail(slot);
+  index_insert(ue, slot);
+  ++n_sessions_;
+  return slot;
+}
+
+void Server::observe(std::uint32_t slot, const data::SampleRecord& sample) {
+  Slot& x = slots_[slot];
+  const auto cap = static_cast<std::uint32_t>(cfg_.session_capacity);
+  // A filling ring starts at head 0 and appends; a full one overwrites
+  // its oldest record. The cursors move only after the write succeeded.
+  const std::uint32_t pos = x.size < cap ? x.size : x.head;
+  data::SampleRecord* rec = records_ + std::size_t{slot} * cap + pos;
+  if (pos < x.built) {
+    *rec = sample;
+  } else {
+    // Positions fill in order, so the first write past the constructed
+    // prefix is exactly at its end.
+    LUMOS_ASSERT(pos == x.built, "ring writes past its constructed prefix");
+    std::construct_at(rec, sample);
+    ++x.built;
+  }
+  if (x.size < cap) {
+    ++x.size;
+  } else {
+    x.head = x.head + 1 == cap ? 0 : x.head + 1;
+  }
+}
+
+void Server::evict_expired_sessions(std::uint64_t now) noexcept {
+  if (cfg_.session_ttl_ms == 0) return;
+  // Touches stamp non-decreasing clock readings in list order, so the
+  // expired sessions are exactly a prefix of the recency list.
+  while (lru_head_ != kNil &&
+         slots_[lru_head_].last_used_ms + cfg_.session_ttl_ms < now) {
+    release_slot(lru_head_);
+    ++stats_.evicted_ttl;
   }
 }
 
@@ -218,13 +317,13 @@ std::size_t Server::poll(std::span<Response> out) {
   const std::uint64_t now = clock_->now_ms();
 
   // 2. Expire overdue requests without touching sessions or the model —
-  //    an expired answer is pure waste, so it must cost nothing. Live
-  //    requests update their session and snapshot its window into their
-  //    OWNING shard's contiguous window arena, still walking the batch in
-  //    admission order, so a UE submitting twice in one batch sees its
-  //    first observation but not its second — and every window of a UE
-  //    lands in the shard that owns its session, giving phase 3 fully
-  //    disjoint per-shard work.
+  //    an expired answer is pure waste, so it must cost nothing (it
+  //    neither creates nor touches a session). Live requests update their
+  //    session and snapshot its window into their home shard's contiguous
+  //    window arena, still walking the batch in admission order, so a UE
+  //    submitting twice in one batch sees its first observation but not
+  //    its second — and each shard's arena holds only its own UEs'
+  //    windows, giving phase 3 fully disjoint per-shard work.
   for (std::size_t s = 0; s < n_shards_; ++s) {
     shards_[s].n_windows_ = 0;
     shards_[s].arena_used_ = 0;
@@ -242,33 +341,44 @@ std::size_t Server::poll(std::span<Response> out) {
       ++stats_.deadline_expired;
       continue;
     }
-    SessionEntry& entry = touch_session(p.ue_id, now);
-    entry.session.observe(p.sample);
-    const auto w = entry.session.window();
+    const std::uint32_t slot = touch_session(p.ue_id, now);
+    observe(slot, p.sample);
+    const Slot& x = slots_[slot];
+    const data::SampleRecord* ring =
+        records_ + std::size_t{slot} * cfg_.session_capacity;
     Shard& home = shards_[shard_of(p.ue_id)];
     // arena_used_ never exceeds max_batch * session_capacity (the arena's
     // constructed size): at most max_batch windows of at most
     // session_capacity records each, even if one shard owns the batch.
-    std::copy(w.begin(), w.end(),
-              home.window_arena_.begin() + home.arena_used_);
-    home.span_arena_[home.n_windows_] = {
-        home.window_arena_.data() + home.arena_used_, w.size()};
+    // The ring is copied oldest first, as at most two contiguous runs.
+    data::SampleRecord* dst = home.window_arena_.data() + home.arena_used_;
+    const std::size_t first =
+        std::min<std::size_t>(x.size, cfg_.session_capacity - x.head);
+    std::copy_n(ring + x.head, first, dst);
+    std::copy_n(ring, x.size - first, dst + first);
+    home.span_arena_[home.n_windows_] = {dst, x.size};
     home.slot_arena_[home.n_windows_] = i;
-    home.arena_used_ += w.size();
+    home.arena_used_ += x.size;
     ++home.n_windows_;
   }
 
-  // 3. Fork-join over the shards: each runs one batched columnar walk
-  //    over its own spans into its own result arena (poll_shard). A
-  //    window's prediction depends only on its own rows and the tier
-  //    floor — never on which other windows share the batch — so the
-  //    per-shard split is bit-identical to the single whole-batch call
-  //    (enforced by tests/test_shard.cpp digest crosses). Grain 1 lets
-  //    LUMOS_GRAIN collapse the fan-out on hosts where it costs more
-  //    than it buys.
-  parallel_for(0, n_shards_, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t s = b; s < e; ++s) {
-      poll_shard(shards_[s], min_tier);
+  // 3. Fork-join over the shards that hold windows: each runs one
+  //    batched columnar walk over its own spans into its own result arena
+  //    (poll_shard). A window's prediction depends only on its own rows
+  //    and the tier floor — never on which other windows share the batch
+  //    — so the per-shard split is bit-identical to the single
+  //    whole-batch call (enforced by tests/test_shard.cpp digest crosses).
+  //    Fanning out over busy shards only means a batch that lands in one
+  //    shard (most polls at low load carry a single request) runs inline
+  //    without waking the pool. Grain 1 lets LUMOS_GRAIN collapse the
+  //    fan-out on hosts where it costs more than it buys.
+  std::size_t n_busy = 0;
+  for (std::size_t s = 0; s < n_shards_; ++s) {
+    if (shards_[s].n_windows_ != 0) busy_shards_[n_busy++] = s;
+  }
+  parallel_for(0, n_busy, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      poll_shard(shards_[busy_shards_[i]], min_tier);
     }
   });
 
@@ -297,7 +407,6 @@ std::size_t Server::poll(std::span<Response> out) {
 }
 
 void Server::poll_shard(Shard& shard, std::size_t min_tier) const {
-  if (shard.n_windows_ == 0) return;
   // One batched columnar walk into the shard's result arena: the shard's
   // feature rows are packed tier-by-tier into its preallocated scratch
   // and evaluated level-synchronously over contiguous columns —

@@ -17,7 +17,7 @@
 //     (and a hard cap at queue_capacity backstops a watermark of 1.0).
 //     Within poll(), the per-shard batch slices are predicted fork-join
 //     over the thread pool (see DESIGN §12), bit-identically to the
-//     single-shard walk.
+//     single-shard walk; a batch that lands in one shard runs inline.
 //
 //   * Per-request deadlines. Each accepted request carries an absolute
 //     expiry (relative budget stamped against the injected Clock at
@@ -37,7 +37,15 @@
 //     capacity (LRU beyond max_sessions). An evicted UE's next request
 //     transparently rebuilds its session — it may answer from a lower tier
 //     until the window refills, which is the fallback chain working as
-//     designed, never an error.
+//     designed, never an error. The store behind this is allocated once,
+//     at construction: a slab of max_sessions slots (each owning a ring of
+//     session_capacity records), an open-addressing ue -> slot index, and
+//     one intrusive recency list. Every touch moves a slot to the list's
+//     tail and stamps it with the poll's clock reading; because the Clock
+//     never goes backwards, list order is then also idle order, so the
+//     head is both the LRU victim and the first TTL candidate. Lookup,
+//     touch, observe and each eviction are O(1) and allocation-free — no
+//     cost grows with the number of sessions.
 //
 //   * Hot model reload with rollback. reload() fully validates the new
 //     artifact (envelope hash, payload parse, compile) on the side and
@@ -58,7 +66,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <map>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -94,7 +102,10 @@ struct ServerConfig {
   std::uint64_t default_deadline_ms = 0;
 
   // --- session lifecycle ---
-  std::size_t max_sessions = 256;      ///< LRU capacity for per-UE windows
+  /// LRU capacity for per-UE windows (below 2^32 - 1). The store for
+  /// max_sessions windows of session_capacity records is allocated at
+  /// construction; a window's pages are touched only once it is used.
+  std::size_t max_sessions = 256;
   std::uint64_t session_ttl_ms = 0;    ///< idle eviction; 0 = no TTL
   std::size_t session_capacity = 32;   ///< rolling window per session
 
@@ -158,6 +169,9 @@ class Server {
  public:
   /// The clock is borrowed and must outlive the server.
   Server(Predictor predictor, ServerConfig cfg, Clock& clock);
+  ~Server();
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   // --- producer side (thread-safe) -----------------------------------------
 
@@ -239,18 +253,32 @@ class Server {
     data::SampleRecord sample;
   };
 
-  struct SessionEntry {
-    Session session;
-    std::uint64_t last_used_ms = 0;    ///< for TTL eviction
-    std::uint64_t last_used_seq = 0;   ///< for deterministic LRU order
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One session slot of the store. Slot s owns ring records
+  /// [s * session_capacity, (s + 1) * session_capacity) of records_.
+  struct Slot {
+    std::uint64_t ue = 0;
+    std::uint64_t last_used_ms = 0;  ///< clock reading of the last touch
+    std::uint32_t prev = kNil;       ///< recency list: older neighbour
+    std::uint32_t next = kNil;       ///< recency list: newer; free list link
+    std::uint32_t head = 0;          ///< ring position of the oldest record
+    std::uint32_t size = 0;          ///< records in the window
+    /// Ring positions [0, built) hold constructed records; the rest are
+    /// raw storage until first written (so unused slots' pages are never
+    /// touched). Kept across evictions; ~Server destroys the prefix.
+    std::uint32_t built = 0;
   };
 
-  /// One admission/session shard. Padded to a cache line so one shard's
-  /// queue counters and mutex never false-share with a neighbour's while
+  /// One admission shard. Padded to a cache line so one shard's queue
+  /// counters and mutex never false-share with a neighbour's while
   /// producers on different shards admit concurrently. Each shard owns a
   /// full-capacity ring (any single shard may momentarily hold the whole
   /// admitted load) and the poll() arenas for its slice of the batch, so
-  /// the per-shard predict fan-out shares no mutable state.
+  /// the per-shard predict fan-out shares no mutable state. Sessions are
+  /// not sharded: one store serves every shard from the sequential part of
+  /// poll(), so eviction order never depends on num_shards.
   struct alignas(64) Shard {
     mutable std::mutex mu_;  ///< guards ring_/head_/count_
     std::vector<Pending> ring_;
@@ -258,7 +286,6 @@ class Server {
     std::size_t count_ = 0;
 
     // Consumer-side state (poll()/reload() only; no lock needed).
-    std::map<std::uint64_t, SessionEntry> sessions_;
     std::vector<data::SampleRecord> window_arena_;
     std::vector<std::span<const data::SampleRecord>> span_arena_;
     std::vector<std::size_t> slot_arena_;  ///< out[] index per window
@@ -271,22 +298,40 @@ class Server {
     PredictScratch scratch_;
   };
 
-  /// Stable ue -> shard routing (splitmix64 finalizer): platform- and
-  /// run-independent, so shard membership — and therefore every digest —
-  /// depends only on (ue_id, num_shards).
-  [[nodiscard]] std::size_t shard_of(std::uint64_t ue) const noexcept {
+  /// splitmix64 finalizer of a UE id: platform- and run-independent, so
+  /// shard membership and index placement — and therefore every digest —
+  /// depend only on the ids and the config.
+  [[nodiscard]] static std::uint64_t mix(std::uint64_t ue) noexcept {
     std::uint64_t x = ue + 0x9E3779B97F4A7C15ULL;
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % n_shards_);
+    return x ^ (x >> 31);
   }
 
-  /// Returns the session for `ue`, creating it (and LRU-evicting past the
-  /// GLOBAL capacity, scanning every shard for the minimum-seq victim) if
-  /// needed.
-  SessionEntry& touch_session(std::uint64_t ue, std::uint64_t now);
-  void evict_expired_sessions(std::uint64_t now);
+  /// Stable ue -> shard routing.
+  [[nodiscard]] std::size_t shard_of(std::uint64_t ue) const noexcept {
+    return static_cast<std::size_t>(mix(ue) % n_shards_);
+  }
+
+  // --- session store (consumer side) ---
+  /// Returns `ue`'s slot, moved to the recency tail and stamped `now`. A
+  /// first contact takes a free slot, evicting the LRU head first when
+  /// the store is full.
+  std::uint32_t touch_session(std::uint64_t ue, std::uint64_t now) noexcept;
+  /// Appends `sample` to the slot's window; at capacity it overwrites the
+  /// oldest record.
+  void observe(std::uint32_t slot, const data::SampleRecord& sample);
+  /// Pops the recency head while it has been idle past the TTL at `now`.
+  void evict_expired_sessions(std::uint64_t now) noexcept;
+  /// Unindexes and unlinks a live slot and pushes it on the free list.
+  void release_slot(std::uint32_t slot) noexcept;
+  void unlink(std::uint32_t slot) noexcept;
+  void link_tail(std::uint32_t slot) noexcept;
+  [[nodiscard]] std::size_t home_of(std::uint64_t ue) const noexcept {
+    return static_cast<std::size_t>(mix(ue)) & index_mask_;
+  }
+  void index_insert(std::uint64_t ue, std::uint32_t slot) noexcept;
+  void index_erase(std::uint32_t slot) noexcept;
 
   /// Phase-3 per-shard model work: one batched columnar predict over the
   /// shard's window spans into its result arena. A hot-path root in the
@@ -313,14 +358,25 @@ class Server {
   std::size_t shed_threshold_ = 1;
 
   // Consumer-side state: only touched from poll()/reload().
-  std::size_t n_sessions_ = 0;  ///< sum over shards_[*].sessions_.size()
-  std::uint64_t use_seq_ = 0;
+  std::size_t n_sessions_ = 0;  ///< live slots
+  std::vector<Slot> slots_;     ///< max_sessions headers
+  /// Open-addressing ue -> slot index: a power-of-two table of at least
+  /// 2 * max_sessions entries holding slot + 1 (0 = empty), linear
+  /// probing, backward-shift deletion (no tombstones).
+  std::vector<std::uint32_t> index_;
+  std::size_t index_mask_ = 0;
+  data::SampleRecord* records_ = nullptr;  ///< every slot's ring storage
+  std::uint32_t free_head_ = kNil;  ///< free slots, last freed first
+  std::uint32_t lru_head_ = kNil;   ///< least recently used live slot
+  std::uint32_t lru_tail_ = kNil;   ///< most recently used live slot
   std::uint64_t generation_ = 1;
   mutable ServerStats stats_;
 
   /// Preallocated merge arena: poll() reassembles the global-ticket-order
   /// batch here from the shard rings.
   std::vector<Pending> batch_arena_;
+  /// Preallocated list of the shards that hold windows in this poll.
+  std::vector<std::size_t> busy_shards_;
 };
 
 }  // namespace lumos::serve

@@ -1,21 +1,27 @@
 // Tests for serve::Server — the resilient long-running serving loop.
 // Covers admission control (watermark shed, hard cap, shutdown), deadline
 // expiry, watermark-driven tier degradation, deterministic session
-// eviction (LRU + TTL), and hot reload with rollback. The two load-bearing
-// bit-identity invariants: a UE's predictions are unchanged by eviction of
-// an *unrelated* session, and unchanged across a hot reload of an
-// identical artifact. Both must hold at any LUMOS_THREADS (the suite runs
-// pinned to 1 and 8 from CMake).
+// eviction (LRU + TTL, also checked against a reference model over seeded
+// random operation sequences), and hot reload with rollback. The two
+// load-bearing bit-identity invariants: a UE's predictions are unchanged
+// by eviction of an *unrelated* session, and unchanged across a hot
+// reload of an identical artifact. Both must hold at any LUMOS_THREADS
+// (the suite runs pinned to 1 and 8 from CMake).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
 #include "serve/model_io.h"
@@ -386,6 +392,210 @@ TEST(Server, TtlEvictsIdleSessions) {
   EXPECT_EQ(server.n_sessions(), 1u);
   EXPECT_EQ(server.stats().evicted_ttl, 1u);
 }
+
+// ---------- session store: randomized differential ----------
+
+/// The session rules spelled the slow, obvious way: a map keyed by use
+/// sequence is the LRU order, and one Session per UE holds its window.
+/// Fed the server's responses in order, it must agree with the server on
+/// every window, eviction count and session count.
+class SessionModel {
+ public:
+  explicit SessionModel(const ServerConfig& cfg) : cfg_(cfg) {}
+
+  /// A live (unexpired) request from `ue` served at `now`: touch or
+  /// create its session (evicting the LRU victim at capacity), observe
+  /// the sample, and return the window the prediction must see.
+  std::span<const data::SampleRecord> serve(std::uint64_t ue,
+                                            const data::SampleRecord& sample,
+                                            std::uint64_t now) {
+    auto it = by_ue_.find(ue);
+    if (it == by_ue_.end()) {
+      if (by_ue_.size() >= cfg_.max_sessions) {
+        const auto victim = by_seq_.begin();
+        by_ue_.erase(victim->second);
+        by_seq_.erase(victim);
+        ++evicted_lru;
+      }
+      it = by_ue_.emplace(ue, Entry{Session(cfg_.session_capacity), 0, 0})
+               .first;
+    } else {
+      by_seq_.erase(it->second.seq);
+    }
+    it->second.last_used_ms = now;
+    it->second.seq = ++seq_;
+    by_seq_.emplace(seq_, ue);
+    it->second.session.observe(sample);
+    return it->second.session.window();
+  }
+
+  /// The end-of-poll TTL sweep at the poll's `now`.
+  void sweep(std::uint64_t now) {
+    if (cfg_.session_ttl_ms == 0) return;
+    for (auto it = by_ue_.begin(); it != by_ue_.end();) {
+      if (it->second.last_used_ms + cfg_.session_ttl_ms < now) {
+        by_seq_.erase(it->second.seq);
+        it = by_ue_.erase(it);
+        ++evicted_ttl;
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  std::size_t size() const { return by_ue_.size(); }
+
+  std::uint64_t evicted_lru = 0;
+  std::uint64_t evicted_ttl = 0;
+
+ private:
+  struct Entry {
+    Session session;
+    std::uint64_t last_used_ms;
+    std::uint64_t seq;
+  };
+  ServerConfig cfg_;
+  std::map<std::uint64_t, Entry> by_ue_;
+  std::map<std::uint64_t, std::uint64_t> by_seq_;  ///< use sequence -> ue
+  std::uint64_t seq_ = 0;
+};
+
+/// Samples drawn from every airport run, so windows mix contexts.
+const std::vector<data::SampleRecord>& sample_pool() {
+  static const std::vector<data::SampleRecord> pool = [] {
+    std::vector<data::SampleRecord> out;
+    for (std::size_t r = 0; r < airport_ds().runs().size(); ++r) {
+      for (const auto& s : run_samples(r, 24)) out.push_back(s);
+    }
+    return out;
+  }();
+  return pool;
+}
+
+/// One seeded operation sequence against a real server and the model.
+/// Submit bursts (often repeating the previous UE, so one batch holds the
+/// same UE twice), polls with `out` both shorter and longer than
+/// max_batch, and forward clock steps, some across the TTL and past
+/// request deadlines. Checked after every poll.
+/// `variant` 1..3 picks the deadline default (odd: 300 ms) and the TTL
+/// (200 ms, 2 s, off).
+void run_session_differential(std::size_t max_sessions, std::size_t capacity,
+                              std::size_t shards, std::uint64_t variant) {
+  SCOPED_TRACE("max_sessions=" + std::to_string(max_sessions) +
+               " capacity=" + std::to_string(capacity) +
+               " shards=" + std::to_string(shards) +
+               " variant=" + std::to_string(variant));
+  static const Predictor direct = make_predictor();
+  const auto& samples = sample_pool();
+
+  ManualClock clock(1'000);
+  ServerConfig cfg;
+  cfg.queue_capacity = 64;
+  cfg.shed_watermark = 1.0;
+  cfg.max_batch = 8;
+  cfg.default_deadline_ms = variant % 2 == 1 ? 300 : 0;
+  cfg.max_sessions = max_sessions;
+  cfg.session_ttl_ms = variant == 1 ? 200 : variant == 2 ? 2'000 : 0;
+  cfg.session_capacity = capacity;
+  cfg.num_shards = shards;
+  Server server(make_predictor(), cfg, clock);
+  SessionModel model(server.config());
+  Rng rng(variant * 1'000'003 + max_sessions * 1009 + capacity * 17 + shards);
+
+  // More UEs than slots, including both ends of the id range.
+  std::vector<std::uint64_t> ues = {0, std::numeric_limits<std::uint64_t>::max()};
+  while (ues.size() < 2 * max_sessions + 3) ues.push_back(rng.next_u64());
+
+  struct Sent {
+    std::uint64_t ue;
+    std::size_t sample;
+    std::uint64_t budget;
+    std::uint64_t enqueued_ms;
+  };
+  std::map<std::uint64_t, Sent> sent;  // ticket -> request
+  std::deque<std::uint64_t> fifo;      // admitted tickets, oldest first
+  std::vector<Response> out(cfg.max_batch + 2);
+  std::uint64_t ue = ues[0];
+
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t kind = rng.uniform_int(20);
+    if (kind < 7) {
+      const std::uint64_t burst = 1 + rng.uniform_int(cfg.max_batch);
+      for (std::uint64_t b = 0; b < burst; ++b) {
+        // Repeat the last UE, revisit a hot set one larger than the store
+        // (windows grow, LRU still churns), or pick from the whole pool.
+        const double pick = rng.uniform();
+        if (pick >= 0.7) {
+          ue = ues[rng.uniform_int(ues.size())];
+        } else if (pick >= 0.3) {
+          ue = ues[rng.uniform_int(max_sessions + 1)];
+        }
+        const Sent req{ue, rng.uniform_int(samples.size()),
+                       rng.bernoulli(0.2) ? 1 + rng.uniform_int(400) : 0,
+                       clock.now_ms()};
+        const auto ticket =
+            server.submit({req.ue, samples[req.sample], req.budget});
+        if (ticket.has_value()) {
+          sent.emplace(*ticket, req);
+          fifo.push_back(*ticket);
+        } else {
+          ASSERT_EQ(ticket.error().code, ErrorCode::kOverloaded);
+        }
+      }
+    } else if (kind < 17) {
+      const std::size_t depth = server.queue_depth();
+      const std::size_t room = rng.uniform_int(out.size() + 1);
+      const std::uint64_t now = clock.now_ms();
+      const std::size_t n = server.poll({out.data(), room});
+      ASSERT_EQ(n, std::min({cfg.max_batch, depth, room}));
+      for (std::size_t i = 0; i < n; ++i) {
+        const Response& r = out[i];
+        ASSERT_EQ(r.ticket, fifo.front());
+        fifo.pop_front();
+        const Sent req = sent.at(r.ticket);
+        sent.erase(r.ticket);
+        EXPECT_EQ(r.ue_id, req.ue);
+        EXPECT_EQ(r.enqueued_ms, req.enqueued_ms);
+        EXPECT_EQ(r.served_ms, now);
+        EXPECT_EQ(r.min_tier, server.min_tier_for_depth(depth));
+        const std::uint64_t budget =
+            req.budget != 0 ? req.budget : cfg.default_deadline_ms;
+        if (budget != 0 && now > req.enqueued_ms + budget) {
+          ASSERT_FALSE(r.result.has_value());
+          EXPECT_EQ(r.result.error().code, ErrorCode::kDeadlineExceeded);
+          continue;
+        }
+        const auto window = model.serve(req.ue, samples[req.sample], now);
+        expect_same_result(r.result, direct.predict(window, r.min_tier));
+      }
+      model.sweep(now);
+      ASSERT_EQ(server.stats().evicted_lru, model.evicted_lru) << "op " << op;
+      ASSERT_EQ(server.stats().evicted_ttl, model.evicted_ttl) << "op " << op;
+      ASSERT_EQ(server.n_sessions(), model.size()) << "op " << op;
+    } else if (kind < 19) {
+      clock.advance_ms(rng.uniform_int(60));
+    } else {
+      clock.advance_ms(100 + rng.uniform_int(2'200));
+    }
+  }
+}
+
+class SessionDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SessionDifferential, MatchesReferenceModel) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{3}, std::size_t{32}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      for (std::uint64_t variant = 1; variant <= 3; ++variant) {
+        run_session_differential(GetParam(), capacity, shards, variant);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Slots, SessionDifferential,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{7}, std::size_t{64}));
 
 // ---------- hot reload ----------
 

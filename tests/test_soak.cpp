@@ -262,8 +262,19 @@ SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
 
 constexpr std::size_t kTicks = 3000;
 
+// The comparisons below only check runs against each other, so a change
+// that moves every run the same way would pass them. These literals pin
+// the absolute response streams of two seeds (the digest is the same at
+// any thread or shard count).
+constexpr std::uint64_t kSeed1Digest = 0x55e87c7f74e4ee2bULL;
+constexpr std::uint64_t kSeed1Answered = 4441;
+constexpr std::uint64_t kSeed7Digest = 0xd4e69fba57f9e495ULL;
+constexpr std::uint64_t kSeed7Answered = 4623;
+
 TEST(Soak, ChaosRunCompletesWithZeroStuckRequests) {
   const SoakReport r = run_soak(/*seed=*/1, kTicks);
+  EXPECT_EQ(r.digest, kSeed1Digest);
+  EXPECT_EQ(r.answered, kSeed1Answered);
   // The run must have actually exercised the machinery, not dodged it.
   EXPECT_GT(r.answered, kTicks);  // floods + duplicates outpace the ticks
   EXPECT_GT(r.floods, 0u);
@@ -275,6 +286,8 @@ TEST(Soak, ChaosRunCompletesWithZeroStuckRequests) {
 TEST(Soak, SameSeedReplaysBitForBit) {
   const SoakReport a = run_soak(/*seed=*/7, kTicks);
   const SoakReport b = run_soak(/*seed=*/7, kTicks);
+  EXPECT_EQ(a.digest, kSeed7Digest);
+  EXPECT_EQ(a.answered, kSeed7Answered);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.answered, b.answered);
   EXPECT_EQ(a.reload_ok, b.reload_ok);

@@ -97,9 +97,10 @@ std::string build_type_of(const std::string& text) {
 int main(int argc, char** argv) {
   std::string bench;
   std::string baseline;
-  std::string filter = "BM_ServerThroughput|BM_FlatVsPointerPredict|"
-                       "BM_ServePredictBatch|BM_HistogramBuild|"
-                       "BM_ColumnarVsRowPredict|BM_ColumnarWalkSimd";
+  std::string filter = "BM_ServerThroughput|BM_ServerSessions|"
+                       "BM_FlatVsPointerPredict|BM_ServePredictBatch|"
+                       "BM_HistogramBuild|BM_ColumnarVsRowPredict|"
+                       "BM_ColumnarWalkSimd";
   double threshold = 2.0;
   if (const char* env = std::getenv("LUMOS_BENCHGATE_FACTOR")) {
     const double f = std::atof(env);
