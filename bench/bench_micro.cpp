@@ -9,12 +9,12 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/clock.h"
 #include "common/parallel.h"
-#include "common/simd.h"
 #include "core/lumos5g.h"
 #include "core/throughput_map.h"
 #include "data/features.h"
@@ -282,13 +282,13 @@ BENCHMARK(BM_GdbtPredictNaNRouting)->Arg(0)->Arg(1);
 
 // ---- serving runtime: flattened layout vs pointer layout ----
 //
-// The same fitted GBDT scored three ways over the full feature matrix:
+// The same fitted GBDT scored two ways over the full feature matrix:
 //   Arg(0)  pointer layout, per-row predict() (the seed path)
-//   Arg(1)  flattened node-array, per-row predict()
-//   Arg(2)  flattened node-array, predict_batch() over the thread pool
-// All three are bit-identical (tests/test_serve.cpp); only the walk
-// differs. items/sec is rows scored per second, so the flat/pointer
-// ratio reads directly off the report.
+//   Arg(1)  flattened node-array, per-row predict() (a one-row block
+//           through the columnar kernel)
+// Both are bit-identical (tests/test_serve.cpp); only the walk differs.
+// items/sec is rows scored per second, so the flat/pointer ratio reads
+// directly off the report.
 
 void BM_FlatVsPointerPredict(benchmark::State& state) {
   static const auto built = data::build_features(
@@ -307,12 +307,10 @@ void BM_FlatVsPointerPredict(benchmark::State& state) {
       for (std::size_t r = 0; r < built.x.rows(); ++r) {
         benchmark::DoNotOptimize(model->predict(built.x.row(r)));
       }
-    } else if (mode == 1) {
+    } else {
       for (std::size_t r = 0; r < built.x.rows(); ++r) {
         benchmark::DoNotOptimize(flat.predict(built.x.row(r)));
       }
-    } else {
-      benchmark::DoNotOptimize(flat.predict_batch(built.x));
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -321,7 +319,6 @@ void BM_FlatVsPointerPredict(benchmark::State& state) {
 BENCHMARK(BM_FlatVsPointerPredict)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // ---- columnar feature store (DESIGN §11) ----
@@ -449,7 +446,9 @@ const serve::Predictor& serve_predictor() {
 }
 
 // End-to-end serving throughput (preds/sec): a compiled Predictor answers
-// a fleet of per-UE sessions, batched over the pool (Arg = pool size).
+// a fleet of per-UE sessions through the batched columnar walk the server
+// runs, over the pool (Arg = pool size). The scratch and output slots are
+// reserved once, outside the timed loop, as Server does.
 void BM_ServePredictBatch(benchmark::State& state) {
   static const serve::Predictor* predictor = &serve_predictor();
   static const std::vector<serve::Session> sessions = [] {
@@ -466,9 +465,18 @@ void BM_ServePredictBatch(benchmark::State& state) {
     }
     return out;
   }();
+  std::vector<std::span<const data::SampleRecord>> windows;
+  for (const serve::Session& s : sessions) windows.push_back(s.window());
+  std::vector<Expected<core::Prediction>> out(
+      windows.size(),
+      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+  serve::PredictScratch scratch;
+  scratch.reserve(windows.size(), predictor->max_width());
   ThreadPool::global().set_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor->predict_batch(sessions));
+    predictor->predict_spans_columnar(windows, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   ThreadPool::global().set_threads(0);
   state.SetItemsProcessed(state.iterations() *
@@ -592,44 +600,6 @@ BENCHMARK(BM_ServerSessions)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
-// The SIMD columnar walk in isolation: the same flattened 300-tree GBDT
-// scores the full feature matrix through predict_columnar() with the
-// vector kernel forced off (simd:0 — the scalar level-synchronous walk)
-// and on (simd:1 — the lane-parallel masked-gather walk, when the build
-// has one). Outputs are bit-identical (tests/test_shard.cpp); the
-// simd:0 / simd:1 ratio is the kernel win. On a build without a vector
-// ISA both rows run the scalar path and the ratio pins at ~1x.
-void BM_ColumnarWalkSimd(benchmark::State& state) {
-  static const auto built = data::build_features(
-      airport_ds(), data::FeatureSetSpec::parse("L+M+C"), {});
-  ml::GbdtConfig cfg;
-  cfg.n_estimators = 300;
-  static ml::GbdtRegressor* model = nullptr;
-  if (model == nullptr) {
-    model = new ml::GbdtRegressor(cfg);
-    model->fit(built.x, built.y_reg);
-  }
-  static const serve::FlatForest flat = serve::FlatForest::flatten(*model);
-  static const data::ColumnStore cols =
-      data::ColumnStore::from_matrix(built.x);
-  static std::vector<double> out(built.x.rows());
-  const bool was_enabled = simd::enabled();
-  simd::set_enabled(state.range(0) == 1);
-  for (auto _ : state) {
-    flat.predict_columnar(cols.block(0, built.x.rows()), out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  simd::set_enabled(was_enabled);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(built.x.rows()));
-  state.SetLabel(state.range(0) == 1 ? simd::isa_name() : "scalar");
-}
-BENCHMARK(BM_ColumnarWalkSimd)
-    ->ArgName("simd")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // The stall a hot reload inserts between serving steps: full envelope
 // validation + payload parse + tier compile + atomic swap of a T+M+C
 // facade artifact already in memory (the disk read is BM-irrelevant and
@@ -657,14 +627,13 @@ BENCHMARK(BM_ThroughputMapBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main instead of benchmark_main: stamps the context keys benchgate
+// Custom main instead of benchmark_main: stamps the context key benchgate
 // gates on (`lumos_build_type` — the measured library's own build type, as
-// opposed to google-benchmark's `library_build_type` — and the selected
-// SIMD ISA), and prints a loud banner when this binary was built without
-// NDEBUG so debug numbers never get committed as a baseline.
+// opposed to google-benchmark's `library_build_type`), and prints a loud
+// banner when this binary was built without NDEBUG so debug numbers never
+// get committed as a baseline.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("lumos_build_type", lumos::bench::build_type());
-  benchmark::AddCustomContext("lumos_simd", lumos::simd::isa_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   lumos::bench::warn_if_debug();

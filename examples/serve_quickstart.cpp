@@ -8,14 +8,17 @@
 //   2. serve::save_model -> one versioned .l5gm artifact on disk.
 //   3. serve::load_lumos5g + serve::Predictor::compile -> flattened
 //      serving snapshot (16-byte nodes, iterative traversal).
-//   4. Feed per-UE Sessions and predict_batch over the thread pool,
-//      verifying the reloaded runtime matches the trainer bit for bit.
+//   4. Feed per-UE Sessions and answer them in one predict_spans_columnar
+//      batch over the thread pool, verifying the reloaded runtime matches
+//      the trainer bit for bit.
 //
 // Build & run:  ./examples/serve_quickstart
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
+#include <vector>
 
 #include "core/lumos5g.h"
 #include "serve/model_io.h"
@@ -80,7 +83,16 @@ int main() {
     }
     fleet.push_back(std::move(s));
   }
-  const auto batch = predictor->predict_batch(fleet);
+  // The batched walk writes into caller-owned slots and a scratch
+  // reserved once for the batch size (a server reserves it at startup).
+  std::vector<std::span<const data::SampleRecord>> windows;
+  for (const serve::Session& s : fleet) windows.push_back(s.window());
+  std::vector<Expected<core::Prediction>> batch(
+      fleet.size(),
+      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+  serve::PredictScratch scratch;
+  scratch.reserve(windows.size(), predictor->max_width());
+  predictor->predict_spans_columnar(windows, batch, scratch);
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {

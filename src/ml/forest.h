@@ -30,16 +30,6 @@ class RandomForestRegressor final : public Regressor {
 
   const ForestConfig& config() const noexcept { return cfg_; }
 
-  // --- fitted-state access for serialization / flattening (serve/) ---
-  const BinMapper& mapper() const noexcept { return mapper_; }
-  const std::vector<GradientTree>& trees() const noexcept { return trees_; }
-
-  /// Reinstates a fitted model from its serialized parts (serve/model_io).
-  void restore(BinMapper mapper, std::vector<GradientTree> trees) {
-    mapper_ = std::move(mapper);
-    trees_ = std::move(trees);
-  }
-
  private:
   ForestConfig cfg_;
   BinMapper mapper_;
@@ -58,20 +48,6 @@ class RandomForestClassifier final : public Classifier {
   [[nodiscard]] int predict(std::span<const double> row) const override;
 
   const ForestConfig& config() const noexcept { return cfg_; }
-
-  // --- fitted-state access for serialization / flattening (serve/) ---
-  const BinMapper& mapper() const noexcept { return mapper_; }
-  int n_classes() const noexcept { return n_classes_; }
-  /// trees()[t * n_classes() + c] is tree t's score for class c.
-  const std::vector<GradientTree>& trees() const noexcept { return trees_; }
-
-  /// Reinstates a fitted model from its serialized parts (serve/model_io).
-  void restore(BinMapper mapper, int n_classes,
-               std::vector<GradientTree> trees) {
-    mapper_ = std::move(mapper);
-    n_classes_ = n_classes;
-    trees_ = std::move(trees);
-  }
 
  private:
   ForestConfig cfg_;

@@ -61,17 +61,6 @@ std::vector<std::size_t> k_nearest(const FeatureMatrix& x,
   return idx;
 }
 
-/// Column-major (SoA) copy of `x`: feature c occupies one contiguous run
-/// of x.rows() values starting at c * x.rows().
-std::vector<double> pack_columns(const FeatureMatrix& x) {
-  std::vector<double> cols(x.rows() * x.cols());
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    double* dst = cols.data() + c * x.rows();
-    for (std::size_t r = 0; r < x.rows(); ++r) dst[r] = x.at(r, c);
-  }
-  return cols;
-}
-
 template <typename T>
 void subsample_rows(FeatureMatrix& x, std::vector<T>& y, std::size_t cap,
                     std::uint64_t seed) {
@@ -109,57 +98,6 @@ void KnnRegressor::fit(const FeatureMatrix& x, std::span<const double> y) {
       row[c] = (row[c] - mean_[c]) * inv_sd_[c];
     }
   }
-  // Columnar twin of the standardized rows, for predict_scan (cold).
-  cols_ = pack_columns(x_);
-}
-
-double KnnRegressor::predict_scan(std::span<const double> row,
-                                  KnnScratch& s) const noexcept {
-  const std::size_t n = x_.rows();
-  if (n == 0) return 0.0;
-  const std::size_t d = x_.cols();
-  for (std::size_t c = 0; c < d; ++c) {
-    s.q_[c] = (row[c] - mean_[c]) * inv_sd_[c];
-  }
-  double* d2 = s.d2_.data();
-  for (std::size_t r = 0; r < n; ++r) d2[r] = 0.0;
-  // Feature-outer SoA sweep: each row's partial sum still visits features
-  // in ascending order — the row-major loop's exact accumulation order —
-  // but the inner loop streams one contiguous column (gather-free,
-  // auto-vectorizable) instead of striding across rows.
-  for (std::size_t c = 0; c < d; ++c) {
-    const double* col = cols_.data() + c * n;
-    const double qc = s.q_[c];
-    for (std::size_t r = 0; r < n; ++r) {
-      const double diff = col[r] - qc;
-      d2[r] += diff * diff;
-    }
-  }
-  // Replay k_nearest's bounded max-heap exactly: same comparator
-  // (std::less on (dist2, row)), same push/pop sequence, preallocated
-  // storage — so the pop order, and with it the FP order of the y sum,
-  // matches predict() bit for bit.
-  const std::size_t k = std::min(cfg_.k, n);
-  auto* heap = s.heap_.data();
-  std::size_t live = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (live < k) {
-      heap[live] = {d2[r], r};
-      ++live;
-      std::push_heap(heap, heap + live);
-    } else if (k != 0 && d2[r] < heap[0].first) {
-      std::pop_heap(heap, heap + live);
-      heap[live - 1] = {d2[r], r};
-      std::push_heap(heap, heap + live);
-    }
-  }
-  double sum = 0.0;
-  const auto cnt = static_cast<double>(live);
-  for (; live > 0; --live) {
-    sum += y_[heap[0].second];
-    std::pop_heap(heap, heap + live);
-  }
-  return sum / cnt;
 }
 
 double KnnRegressor::predict(std::span<const double> row) const {
@@ -192,56 +130,6 @@ void KnnClassifier::fit(const FeatureMatrix& x, std::span<const int> y,
       row[c] = (row[c] - mean_[c]) * inv_sd_[c];
     }
   }
-  cols_ = pack_columns(x_);
-}
-
-int KnnClassifier::predict_scan(std::span<const double> row,
-                                KnnScratch& s) const noexcept {
-  const std::size_t n = x_.rows();
-  if (n == 0 || n_classes_ == 0) return 0;
-  const std::size_t d = x_.cols();
-  for (std::size_t c = 0; c < d; ++c) {
-    s.q_[c] = (row[c] - mean_[c]) * inv_sd_[c];
-  }
-  double* d2 = s.d2_.data();
-  for (std::size_t r = 0; r < n; ++r) d2[r] = 0.0;
-  for (std::size_t c = 0; c < d; ++c) {
-    const double* col = cols_.data() + c * n;
-    const double qc = s.q_[c];
-    for (std::size_t r = 0; r < n; ++r) {
-      const double diff = col[r] - qc;
-      d2[r] += diff * diff;
-    }
-  }
-  const std::size_t k = std::min(cfg_.k, n);
-  auto* heap = s.heap_.data();
-  std::size_t live = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    if (live < k) {
-      heap[live] = {d2[r], r};
-      ++live;
-      std::push_heap(heap, heap + live);
-    } else if (k != 0 && d2[r] < heap[0].first) {
-      std::pop_heap(heap, heap + live);
-      heap[live - 1] = {d2[r], r};
-      std::push_heap(heap, heap + live);
-    }
-  }
-  std::fill(s.votes_.begin(), s.votes_.end(), 0);
-  for (; live > 0; --live) {
-    ++s.votes_[static_cast<std::size_t>(y_[heap[0].second])];
-    std::pop_heap(heap, heap + live);
-  }
-  // First-max-wins argmax over the vote tally — what std::max_element
-  // resolves to in predict().
-  int best = 0;
-  for (int c = 1; c < n_classes_; ++c) {
-    if (s.votes_[static_cast<std::size_t>(c)] >
-        s.votes_[static_cast<std::size_t>(best)]) {
-      best = c;
-    }
-  }
-  return best;
 }
 
 int KnnClassifier::predict(std::span<const double> row) const {

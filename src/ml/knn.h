@@ -1,24 +1,8 @@
 // k-nearest-neighbors regressor/classifier over z-score standardized
 // features — a classic 3G/4G prediction baseline (paper §6.3, Table 9).
-//
-// Two query paths, bit-identical by construction:
-//   * predict(): the row-major reference loop (one training row at a time,
-//     features ascending, bounded max-heap k-selection).
-//   * predict_scan(): the columnar SoA path — fit() also packs the
-//     standardized training rows into a column-major buffer (ml/ sits
-//     below data/, so it keeps its own SoA twin rather than pulling in
-//     data::ColumnStore), and the scan streams one contiguous feature
-//     column at a time, accumulating each
-//     row's squared distance in the SAME ascending feature order, then
-//     replays the exact same max-heap push/pop sequence on a preallocated
-//     buffer. Same FP order everywhere -> same bits; no allocation, so it
-//     can sit on a serving hot path (a lumos_lint reachability root).
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "ml/types.h"
 
@@ -37,33 +21,6 @@ struct KnnConfig {
   std::uint64_t seed = 3;
 };
 
-/// Preallocated working set for the allocation-free columnar scans. The
-/// caller owns it and reserves once (cold) against the fitted model's
-/// shape; predict_scan then never allocates.
-class KnnScratch {
- public:
-  KnnScratch() = default;
-
-  /// Sizes for a model with `rows` stored training rows and `width`
-  /// features, selecting up to `k` neighbors; classifiers additionally
-  /// need `n_classes` vote slots.
-  void reserve(std::size_t rows, std::size_t width, std::size_t k,
-               std::size_t n_classes = 0) {
-    d2_.assign(rows, 0.0);
-    q_.assign(width, 0.0);
-    heap_.assign(k, {0.0, 0});
-    votes_.assign(n_classes, 0);
-  }
-
- private:
-  friend class KnnRegressor;
-  friend class KnnClassifier;
-  std::vector<double> d2_;  ///< squared distance per training row
-  std::vector<double> q_;   ///< standardized query row
-  std::vector<std::pair<double, std::size_t>> heap_;  ///< bounded max-heap
-  std::vector<int> votes_;  ///< classifier vote tally
-};
-
 class KnnRegressor final : public Regressor {
  public:
   explicit KnnRegressor(KnnConfig cfg = {}) noexcept : cfg_(cfg) {}
@@ -71,25 +28,9 @@ class KnnRegressor final : public Regressor {
   void fit(const FeatureMatrix& x, std::span<const double> y) override;
   [[nodiscard]] double predict(std::span<const double> row) const override;
 
-  /// Columnar SoA scan, bit-identical to predict() (see file header).
-  /// `scratch` must be reserved for (rows(), cols(), k). Allocation-free;
-  /// a lumos_lint hot-path reachability root.
-  [[nodiscard]] double predict_scan(std::span<const double> row,
-                                    KnnScratch& scratch) const noexcept;
-
-  std::size_t rows() const noexcept { return x_.rows(); }
-  std::size_t cols() const noexcept { return x_.cols(); }
-  std::size_t k() const noexcept { return cfg_.k; }
-  /// Feature column `c` of the standardized training points as one
-  /// contiguous run of rows() values.
-  const double* column(std::size_t c) const noexcept {
-    return cols_.data() + c * x_.rows();
-  }
-
  private:
   KnnConfig cfg_;
   FeatureMatrix x_;           ///< standardized training rows
-  std::vector<double> cols_;  ///< the same rows, column-major (SoA)
   std::vector<double> y_;
   std::vector<double> mean_, inv_sd_;
 };
@@ -102,23 +43,9 @@ class KnnClassifier final : public Classifier {
            int n_classes) override;
   [[nodiscard]] int predict(std::span<const double> row) const override;
 
-  /// Columnar SoA scan, bit-identical to predict() (see file header).
-  /// `scratch` must be reserved for (rows(), cols(), k, n_classes).
-  /// Allocation-free; a lumos_lint hot-path reachability root.
-  [[nodiscard]] int predict_scan(std::span<const double> row,
-                                 KnnScratch& scratch) const noexcept;
-
-  std::size_t rows() const noexcept { return x_.rows(); }
-  std::size_t cols() const noexcept { return x_.cols(); }
-  std::size_t k() const noexcept { return cfg_.k; }
-  const double* column(std::size_t c) const noexcept {
-    return cols_.data() + c * x_.rows();
-  }
-
  private:
   KnnConfig cfg_;
   FeatureMatrix x_;
-  std::vector<double> cols_;  ///< column-major twin of x_ (SoA)
   std::vector<int> y_;
   int n_classes_ = 0;
   std::vector<double> mean_, inv_sd_;

@@ -185,23 +185,4 @@ double OrdinaryKriging::predict(std::span<const double> row) const {
   return pred;
 }
 
-double OrdinaryKriging::predict_scan(std::span<const double> row,
-                                     KrigingScratch& s) const noexcept {
-  const std::size_t m = px_.size();
-  if (m == 0 || row.size() < 2) return mean_value_;
-  // SoA sweep over the support columns. The variogram itself stays scalar
-  // (hypot/exp — vectorizing those would change bits; see DESIGN §12
-  // blind spots), but the scan allocates nothing and streams px_/py_
-  // contiguously.
-  double* rhs = s.rhs_.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    rhs[i] = variogram(std::hypot(px_[i] - row[0], py_[i] - row[1]));
-  }
-  rhs[m] = 1.0;
-  lu_.solve_into({rhs, m + 1}, {s.x_.data(), m + 1});
-  double pred = 0.0;
-  for (std::size_t i = 0; i < m; ++i) pred += s.x_[i] * pv_[i];
-  return pred;
-}
-
 }  // namespace lumos::ml

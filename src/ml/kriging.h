@@ -10,31 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "ml/linalg.h"
 #include "ml/types.h"
 
 namespace lumos::ml {
-
-/// Preallocated RHS/solution buffers for OrdinaryKriging::predict_scan.
-/// Reserve once (cold) for the fitted model's support size.
-class KrigingScratch {
- public:
-  KrigingScratch() = default;
-
-  /// `max_support` = the model's support() (or the config cap).
-  void reserve(std::size_t max_support) {
-    rhs_.assign(max_support + 1, 0.0);
-    x_.assign(max_support + 1, 0.0);
-  }
-
- private:
-  friend class OrdinaryKriging;
-  std::vector<double> rhs_;
-  std::vector<double> x_;
-};
 
 struct KrigingConfig {
   std::size_t max_support = 300;  ///< cap on aggregated support points
@@ -49,18 +29,6 @@ class OrdinaryKriging final : public Regressor {
   /// `x` must have exactly 2 columns (location coordinates).
   void fit(const FeatureMatrix& x, std::span<const double> y) override;
   [[nodiscard]] double predict(std::span<const double> row) const override;
-
-  /// Allocation-free twin of predict() over the SoA support arrays
-  /// (px_/py_ are already one contiguous column each): variogram RHS
-  /// fill, LuSolver::solve_into, and the weight/value dot product all run
-  /// in the same order as predict(), so the result is bit-identical.
-  /// `scratch` must be reserved for support(). A lumos_lint hot-path
-  /// reachability root.
-  [[nodiscard]] double predict_scan(std::span<const double> row,
-                                    KrigingScratch& scratch) const noexcept;
-
-  /// Number of aggregated support points the fitted system solves over.
-  std::size_t support() const noexcept { return px_.size(); }
 
   double nugget() const noexcept { return nugget_; }
   double sill() const noexcept { return sill_; }

@@ -43,14 +43,8 @@ bool LuSolver::factorize(std::vector<double> a, std::size_t n) {
 }
 
 void LuSolver::solve(std::vector<double>& b) const {
-  std::vector<double> x(n_);
-  solve_into(b, x);
-  b = std::move(x);
-}
-
-void LuSolver::solve_into(std::span<const double> b,
-                          std::span<double> x) const {
   const std::size_t n = n_;
+  std::vector<double> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[piv_[i]];
   // Forward substitution (unit lower-triangular L).
   for (std::size_t i = 1; i < n; ++i) {
@@ -64,6 +58,7 @@ void LuSolver::solve_into(std::span<const double> b,
     for (std::size_t j = i + 1; j < n; ++j) s -= lu_[i * n + j] * x[j];
     x[i] = s / lu_[i * n + i];
   }
+  b = std::move(x);
 }
 
 }  // namespace lumos::ml

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace lumos::ml {
@@ -18,11 +17,6 @@ class LuSolver {
 
   /// Solves A x = b in-place; `b` has length n. Requires factorize() ok.
   void solve(std::vector<double>& b) const;
-
-  /// Allocation-free variant for preallocated callers (the kriging
-  /// columnar scan): solves A x = b into `x`. `b` and `x` must not alias
-  /// and both have length n. Identical arithmetic (and bits) to solve().
-  void solve_into(std::span<const double> b, std::span<double> x) const;
 
   std::size_t size() const noexcept { return n_; }
   bool ok() const noexcept { return ok_; }

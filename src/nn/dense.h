@@ -28,8 +28,6 @@ class Dense {
   void backward_with_input(const Matrix& dy, const Matrix& x, Matrix& dx);
 
   std::vector<Param*> params();
-  /// Same parameters, read-only (serialization walks a const model).
-  std::vector<const Param*> params() const { return {&weight_, &bias_}; }
 
   std::size_t in_dim() const noexcept { return weight_.w.cols(); }
   std::size_t out_dim() const noexcept { return weight_.w.rows(); }

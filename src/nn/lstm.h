@@ -50,8 +50,6 @@ class LSTMCell {
                 Matrix& dx, Matrix& dh_prev, Matrix& dc_prev);
 
   std::vector<Param*> params();
-  /// Same parameters, read-only (serialization walks a const model).
-  std::vector<const Param*> params() const { return {&wx_, &wh_, &b_}; }
 
   std::size_t input_dim() const noexcept { return wx_.w.cols(); }
   std::size_t hidden_dim() const noexcept { return hidden_; }

@@ -31,26 +31,6 @@ Seq2Seq::Seq2Seq(const Seq2SeqConfig& cfg)
   head_ = Dense(cfg_.hidden, 1, rng_);
 }
 
-std::vector<const Matrix*> Seq2Seq::parameter_matrices() const {
-  std::vector<const Matrix*> ms;
-  for (const auto& l : enc_layers_) {
-    for (const Param* p : l.params()) ms.push_back(&p->w);
-  }
-  for (const auto& l : dec_layers_) {
-    for (const Param* p : l.params()) ms.push_back(&p->w);
-  }
-  for (const Param* p : static_cast<const Dense&>(head_).params()) {
-    ms.push_back(&p->w);
-  }
-  return ms;
-}
-
-std::vector<Matrix*> Seq2Seq::parameter_matrices() {
-  std::vector<Matrix*> ms;
-  for (Param* p : all_params()) ms.push_back(&p->w);
-  return ms;
-}
-
 std::vector<Param*> Seq2Seq::all_params() {
   std::vector<Param*> ps;
   for (auto& l : enc_layers_) {

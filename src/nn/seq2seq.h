@@ -47,17 +47,6 @@ class Seq2Seq {
 
   const Seq2SeqConfig& config() const noexcept { return cfg_; }
 
-  // --- fitted-state access for serialization (serve/model_io) ---
-  /// Every trainable weight matrix in a stable order: encoder layers then
-  /// decoder layers (wx, wh, b each), then the output head (weight, bias).
-  /// predict() depends only on these, so overwriting them on a
-  /// freshly-constructed net of the same config reproduces a fitted model
-  /// bit for bit. The mutable overload exists for deserialization; it does
-  /// not touch optimizer state (a restored net serves, it does not resume
-  /// training mid-run).
-  std::vector<const Matrix*> parameter_matrices() const;
-  std::vector<Matrix*> parameter_matrices();
-
  private:
   struct StepCaches {
     // caches[layer][t]

@@ -4,12 +4,6 @@
 
 #include "common/contracts.h"
 #include "common/parallel.h"
-#include "common/simd.h"
-
-#if defined(LUMOS_SIMD_AVX2) || defined(LUMOS_SIMD_SSE2) || \
-    defined(LUMOS_SIMD_NEON)
-#define LUMOS_HAS_VECTOR_WALK 1
-#endif
 
 namespace lumos::serve {
 namespace {
@@ -61,30 +55,13 @@ std::uint32_t flatten_tree(const ml::GradientTree& tree,
   return root;
 }
 
-double traverse(const FlatNode* nodes, std::uint32_t root,
-                std::span<const double> row) noexcept {
-  const FlatNode* n = &nodes[root];
-  while (n->feature >= 0) {
-    const double v = row[static_cast<std::size_t>(n->feature)];
-    const std::uint32_t left = n->left & FlatNode::kChildMask;
-    // NaN routes along the learned default branch, exactly like
-    // GradientTree::predict; finite values take the threshold compare.
-    const bool go_left = std::isnan(v)
-                             ? (n->left & FlatNode::kDefaultLeftBit) != 0U
-                             : v <= n->value;
-    n = &nodes[left + (go_left ? 0U : 1U)];
-  }
-  return n->value;
-}
-
 }  // namespace
 
 FlatForest FlatForest::flatten(std::span<const ml::GradientTree> trees,
                                std::size_t first, std::size_t stride,
-                               Aggregate agg, double base, double scale) {
+                               double base, double scale) {
   LUMOS_EXPECTS(stride >= 1, "FlatForest::flatten: stride must be >= 1");
   FlatForest f;
-  f.agg_ = agg;
   f.base_ = base;
   f.scale_ = scale;
   std::size_t total_nodes = 0;
@@ -99,62 +76,23 @@ FlatForest FlatForest::flatten(std::span<const ml::GradientTree> trees,
 }
 
 FlatForest FlatForest::flatten(const ml::GbdtRegressor& model) {
-  return flatten(model.trees(), 0, 1, Aggregate::kScaledSum, model.base(),
+  return flatten(model.trees(), 0, 1, model.base(),
                  model.config().learning_rate);
 }
 
-FlatForest FlatForest::flatten(const ml::RandomForestRegressor& model) {
-  return flatten(model.trees(), 0, 1, Aggregate::kMean, 0.0, 1.0);
-}
-
 double FlatForest::predict(std::span<const double> row) const noexcept {
-  if (agg_ == Aggregate::kMean) {
-    if (roots_.empty()) return 0.0;  // matches RandomForest on no trees
-    double s = 0.0;
-    for (const std::uint32_t root : roots_) {
-      s += traverse(nodes_.data(), root, row);
-    }
-    return s / static_cast<double>(roots_.size());
-  }
-  double s = base_;
-  for (const std::uint32_t root : roots_) {
-    s += scale_ * traverse(nodes_.data(), root, row);
-  }
-  return s;
-}
-
-std::vector<double> FlatForest::predict_batch(
-    const ml::FeatureMatrix& x) const {
-  std::vector<double> out(x.rows());
-  parallel_for(0, x.rows(), 64, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict(x.row(r));
-  });
-  return out;
+  // A contiguous row is a one-row column block with stride 1: column f's
+  // single value sits at row[f].
+  const data::ColumnBlock block{row.data(), /*stride=*/1, /*n_rows=*/1,
+                                row.size()};
+  double acc = 0.0;
+  eval_block(block, 0, 1, &acc);
+  return acc;
 }
 
 void FlatForest::eval_block(const data::ColumnBlock& block, std::size_t row0,
                             std::size_t m, double* acc) const noexcept {
-#if defined(LUMOS_HAS_VECTOR_WALK)
-  // The vector kernel addresses nodes and column values through 32-bit
-  // gather indices (node index * 4 int32 slots; feature * stride + row).
-  // Both are far inside range for every real model, but guard anyway and
-  // fall back to the scalar walk — same bits either way.
-  if (simd::enabled() && nodes_.size() < (1U << 28) &&
-      block.n_cols * block.stride < (1U << 31)) {
-    eval_block_simd(block, row0, m, acc);
-    return;
-  }
-#endif
-  eval_block_scalar(block, row0, m, acc);
-}
-
-void FlatForest::eval_block_scalar(const data::ColumnBlock& block,
-                                   std::size_t row0, std::size_t m,
-                                   double* acc) const noexcept {
-  const bool mean = agg_ == Aggregate::kMean;
-  const double init = mean ? 0.0 : base_;
-  for (std::size_t j = 0; j < m; ++j) acc[j] = init;
-  if (roots_.empty()) return;  // mean-of-nothing stays 0.0, like predict()
+  for (std::size_t j = 0; j < m; ++j) acc[j] = base_;
 
   const FlatNode* nodes = nodes_.data();
   std::uint32_t cur[kColumnarRowBlock];
@@ -179,144 +117,10 @@ void FlatForest::eval_block_scalar(const data::ColumnBlock& block,
       }
     }
     // Fold this tree's leaves in tree order — the accumulation order of
-    // predict(), so the block result is bit-identical per row.
-    if (mean) {
-      for (std::size_t j = 0; j < m; ++j) acc[j] += nodes[cur[j]].value;
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        acc[j] += scale_ * nodes[cur[j]].value;
-      }
-    }
-  }
-  if (mean) {
-    const double n_trees = static_cast<double>(roots_.size());
-    for (std::size_t j = 0; j < m; ++j) acc[j] /= n_trees;
+    // the pointer-tree predict(), so each row's result is bit-identical.
+    for (std::size_t j = 0; j < m; ++j) acc[j] += scale_ * nodes[cur[j]].value;
   }
 }
-
-#if defined(LUMOS_HAS_VECTOR_WALK)
-void FlatForest::eval_block_simd(const data::ColumnBlock& block,
-                                 std::size_t row0, std::size_t m,
-                                 double* acc) const noexcept {
-  namespace vs = simd;
-  constexpr std::size_t kW = vs::kDoubleWidth;
-  const std::size_t m_vec = m - m % kW;
-  if (roots_.empty() || m_vec == 0) {
-    eval_block_scalar(block, row0, m, acc);
-    return;
-  }
-
-  // FlatNode is 16 bytes: viewed as doubles, node i's value/threshold is
-  // slot 2*i; viewed as int32s, its feature is slot 4*i + 2 and its
-  // packed left/default word is slot 4*i + 3. The gathers below read the
-  // exact addresses the scalar walk dereferences.
-  const auto* node_f64 = reinterpret_cast<const double*>(nodes_.data());
-  const auto* node_i32 = reinterpret_cast<const std::int32_t*>(nodes_.data());
-
-  const bool mean = agg_ == Aggregate::kMean;
-  const auto scale_v = vs::broadcast_f64(scale_);
-  const auto init_v = vs::broadcast_f64(mean ? 0.0 : base_);
-  const auto stride_v =
-      vs::broadcast_i32(static_cast<std::int32_t>(block.stride));
-  const auto zero_i = vs::broadcast_i32(0);
-  const auto one_i = vs::broadcast_i32(1);
-  const auto two_i = vs::broadcast_i32(2);
-  const auto three_i = vs::broadcast_i32(3);
-  const auto four_i = vs::broadcast_i32(4);
-  const auto minus1_i = vs::broadcast_i32(-1);
-  const auto child_mask_i =
-      vs::broadcast_i32(static_cast<std::int32_t>(FlatNode::kChildMask));
-  const auto zero_f = vs::broadcast_f64(0.0);
-  const auto all_lanes = vs::cmp_le(zero_f, zero_f);  // all-ones mask
-
-  alignas(16) static constexpr std::int32_t kLaneOff[4] = {0, 1, 2, 3};
-  const auto lane_off = vs::load_i32(kLaneOff);
-
-  // Level-synchronous across the WHOLE block, mirroring the scalar walk:
-  // one pass advances every still-active lane group one level before any
-  // group takes its next step. A single group's four gathers form a
-  // serial dependency chain (cur -> feat -> value -> next cur), so
-  // walking one group to completion is latency-bound; interleaving the
-  // groups keeps n_groups independent chains in flight per pass, exactly
-  // the ILP the scalar per-row loop gets from its independent rows.
-  constexpr std::size_t kMaxGroups = kColumnarRowBlock / kW;
-  const std::size_t n_groups = m_vec / kW;
-  vs::VInt32 row_v[kMaxGroups];
-  vs::VInt32 cur[kMaxGroups];
-  vs::VDouble acc_v[kMaxGroups];
-  bool done[kMaxGroups];
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    row_v[g] = vs::add_i32(
-        vs::broadcast_i32(static_cast<std::int32_t>(row0 + g * kW)),
-        lane_off);
-    acc_v[g] = init_v;
-  }
-
-  for (const std::uint32_t root : roots_) {
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      cur[g] = vs::broadcast_i32(static_cast<std::int32_t>(root));
-      done[g] = false;
-    }
-    std::size_t n_active = n_groups;
-    while (n_active > 0) {
-      for (std::size_t g = 0; g < n_groups; ++g) {
-        if (done[g]) continue;
-        const auto nidx4 = vs::mul_i32(cur[g], four_i);
-        const auto feat = vs::gather_i32(node_i32, vs::add_i32(nidx4, two_i));
-        // A lane parks once it reaches a leaf (feature == -1); the group
-        // drops out of the passes when every lane is parked.
-        const auto active32 = vs::cmp_gt_i32(feat, minus1_i);
-        if (vs::movemask_i32(active32) == 0) {
-          done[g] = true;
-          --n_active;
-          continue;
-        }
-        const auto active = vs::mask_widen(active32);
-        const auto left_raw =
-            vs::gather_i32(node_i32, vs::add_i32(nidx4, three_i));
-        const auto thresh =
-            vs::gather_f64(node_f64, vs::mul_i32(cur[g], two_i), active);
-        // Column gather: parked lanes have feature == -1, so their index
-        // is garbage — the mask guarantees no memory access happens for
-        // them (gather_f64 contract).
-        const auto col_idx =
-            vs::add_i32(vs::mul_i32(feat, stride_v), row_v[g]);
-        const auto v = vs::gather_f64(block.base, col_idx, active);
-        // go_left = NaN ? default-left-bit : v <= threshold. cmp_le is an
-        // ordered compare, so a NaN lane reads false there, and the
-        // default bit is the sign bit of the packed left word.
-        const auto le = vs::cmp_le(v, thresh);
-        const auto nan = vs::is_nan(v);
-        const auto dfl = vs::mask_widen(vs::topbit_mask_i32(left_raw));
-        const auto go_left =
-            vs::bit_or(vs::bit_andnot(nan, le), vs::bit_and(nan, dfl));
-        const auto left = vs::and_i32(left_raw, child_mask_i);
-        const auto child =
-            vs::add_i32(left, vs::blend_i32(go_left, zero_i, one_i));
-        cur[g] = vs::blend_i32(active, child, cur[g]);
-      }
-    }
-    // Fold this tree's leaves in tree order: one mul + one add per lane,
-    // the same IEEE op sequence as predict()/eval_block_scalar.
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto leaf =
-          vs::gather_f64(node_f64, vs::mul_i32(cur[g], two_i), all_lanes);
-      acc_v[g] = mean ? vs::add(acc_v[g], leaf)
-                      : vs::add(acc_v[g], vs::mul(scale_v, leaf));
-    }
-  }
-  const auto n_trees_v =
-      vs::broadcast_f64(static_cast<double>(roots_.size()));
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    if (mean) acc_v[g] = vs::div(acc_v[g], n_trees_v);
-    vs::store_f64(acc + g * kW, acc_v[g]);
-  }
-
-  if (m_vec < m) {
-    eval_block_scalar(block, row0 + m_vec, m - m_vec, acc + m_vec);
-  }
-}
-#endif  // LUMOS_HAS_VECTOR_WALK
 
 void FlatForest::predict_columnar(const data::ColumnBlock& block,
                                   std::span<double> out) const {
@@ -339,7 +143,7 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
   if (kc <= 0) return c;
   // decision_function folds stages per class as
   //   score[c] = base[c] + lr_scale * tree(stage 0, c) + ... ,
-  // which is exactly one kScaledSum forest per class over the interleaved
+  // which is exactly one FlatForest per class over the interleaved
   // [stage * kc + c] tree layout.
   const double lr_scale = model.config().learning_rate *
                           static_cast<double>(kc - 1) /
@@ -348,24 +152,8 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
   for (int cls = 0; cls < kc; ++cls) {
     c.per_class_.push_back(FlatForest::flatten(
         model.trees(), static_cast<std::size_t>(cls),
-        static_cast<std::size_t>(kc), FlatForest::Aggregate::kScaledSum,
+        static_cast<std::size_t>(kc),
         model.base()[static_cast<std::size_t>(cls)], lr_scale));
-  }
-  return c;
-}
-
-FlatClassifier FlatClassifier::flatten(const ml::RandomForestClassifier& model) {
-  FlatClassifier c;
-  const int kc = model.n_classes();
-  if (kc <= 0) return c;
-  // RandomForestClassifier::predict sums raw per-class votes (no mean, no
-  // base); kScaledSum with base 0 / scale 1 reproduces that sum exactly.
-  c.per_class_.reserve(static_cast<std::size_t>(kc));
-  for (int cls = 0; cls < kc; ++cls) {
-    c.per_class_.push_back(FlatForest::flatten(
-        model.trees(), static_cast<std::size_t>(cls),
-        static_cast<std::size_t>(kc), FlatForest::Aggregate::kScaledSum, 0.0,
-        1.0));
   }
   return c;
 }
@@ -381,7 +169,7 @@ std::vector<double> FlatClassifier::decision_function(
 
 int FlatClassifier::predict(std::span<const double> row) const noexcept {
   if (per_class_.empty()) return 0;
-  // First-max-wins argmax, matching both training-time classifiers.
+  // First-max-wins argmax, matching GbdtClassifier::predict.
   int best = 0;
   double best_score = per_class_[0].predict(row);
   for (std::size_t c = 1; c < per_class_.size(); ++c) {
@@ -424,15 +212,6 @@ void FlatClassifier::predict_columnar(const data::ColumnBlock& block,
       for (std::size_t j = 0; j < m; ++j) out[j0 + j] = best_class[j];
     }
   });
-}
-
-std::vector<int> FlatClassifier::predict_batch(
-    const ml::FeatureMatrix& x) const {
-  std::vector<int> out(x.rows());
-  parallel_for(0, x.rows(), 64, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict(x.row(r));
-  });
-  return out;
 }
 
 std::size_t FlatClassifier::n_nodes() const noexcept {

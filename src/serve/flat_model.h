@@ -19,14 +19,12 @@
 #include <vector>
 
 #include "data/column_store.h"
-#include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/tree.h"
-#include "ml/types.h"
 
 namespace lumos::serve {
 
-/// Rows evaluated together by the columnar batch kernels: a block's
+/// Rows evaluated together by the columnar block kernel: a block's
 /// per-row cursors and accumulators live in fixed stack arrays, and each
 /// tree is walked level-synchronously across the whole block (the rows'
 /// traversals are independent, so the per-level gathers overlap instead
@@ -49,15 +47,10 @@ struct FlatNode {
 
 static_assert(sizeof(FlatNode) == 16, "FlatNode must stay 16 bytes");
 
-/// A contiguous, iteratively-traversed ensemble with a fixed aggregation
-/// rule. Covers a GBDT margin (base + lr * sum) and a Random Forest mean.
+/// A contiguous, iteratively-traversed GBDT ensemble: base + scale *
+/// tree_0 + scale * tree_1 + ..., folded in tree order.
 class FlatForest {
  public:
-  enum class Aggregate : std::uint8_t {
-    kScaledSum,  ///< base + scale * tree_0 + scale * tree_1 + ...
-    kMean,       ///< (tree_0 + tree_1 + ...) / n_trees; 0.0 when empty
-  };
-
   FlatForest() = default;
 
   /// Flattens every `stride`-th tree of `trees` starting at `first` (the
@@ -67,19 +60,14 @@ class FlatForest {
   /// accumulation order — is preserved.
   static FlatForest flatten(std::span<const ml::GradientTree> trees,
                             std::size_t first, std::size_t stride,
-                            Aggregate agg, double base, double scale);
+                            double base, double scale);
 
   /// Convenience: the full prediction path of a fitted model.
   static FlatForest flatten(const ml::GbdtRegressor& model);
-  static FlatForest flatten(const ml::RandomForestRegressor& model);
 
-  /// Bit-identical to the source ensemble's predict() on the same row.
+  /// Bit-identical to the source ensemble's predict() on the same row:
+  /// the row is walked as a one-row, stride-1 block through eval_block.
   [[nodiscard]] double predict(std::span<const double> row) const noexcept;
-
-  /// Batch predict, chunked over the global thread pool; rows are
-  /// independent so the output is identical at any LUMOS_THREADS.
-  [[nodiscard]] std::vector<double> predict_batch(
-      const ml::FeatureMatrix& x) const;
 
   /// Columnar batch predict: out[r] receives row r's prediction,
   /// bit-identical to predict() on the equivalent contiguous row (same
@@ -100,42 +88,25 @@ class FlatForest {
  private:
   friend class FlatClassifier;
 
-  /// Evaluates rows [row0, row0 + m) of `block` into acc[0..m);
-  /// m <= kColumnarRowBlock. The per-row result is bit-identical to
-  /// predict() on that row. Dispatches between the scalar walk and the
-  /// SIMD-width walk (common/simd.h) — both produce the same bits, so the
-  /// choice is pure throughput (simd::enabled(), plus 32-bit gather-index
-  /// range guards).
+  /// The one flattened tree walk: evaluates rows [row0, row0 + m) of
+  /// `block` into acc[0..m), m <= kColumnarRowBlock, level-synchronously
+  /// (each pass moves every still-internal row one level down).
   void eval_block(const data::ColumnBlock& block, std::size_t row0,
                   std::size_t m, double* acc) const noexcept;
 
-  /// The reference level-synchronous scalar walk (always compiled; the
-  /// LUMOS_SIMD=off fallback and the short-tail path).
-  void eval_block_scalar(const data::ColumnBlock& block, std::size_t row0,
-                         std::size_t m, double* acc) const noexcept;
-
-  /// Branch-free SIMD-width walk: per level one feature gather, one
-  /// column-value masked gather, one ordered compare + NaN default-route
-  /// blend per lane group. Defined only when a vector ISA is compiled in.
-  void eval_block_simd(const data::ColumnBlock& block, std::size_t row0,
-                       std::size_t m, double* acc) const noexcept;
-
   std::vector<FlatNode> nodes_;
   std::vector<std::uint32_t> roots_;  ///< root node index per tree
-  Aggregate agg_ = Aggregate::kScaledSum;
   double base_ = 0.0;
   double scale_ = 1.0;
 };
 
-/// Argmax over per-class FlatForests; mirrors GbdtClassifier /
-/// RandomForestClassifier prediction (first class wins ties, matching the
-/// training-time argmax scans).
+/// Argmax over per-class FlatForests; mirrors GbdtClassifier prediction
+/// (first class wins ties, matching the training-time argmax scan).
 class FlatClassifier {
  public:
   FlatClassifier() = default;
 
   static FlatClassifier flatten(const ml::GbdtClassifier& model);
-  static FlatClassifier flatten(const ml::RandomForestClassifier& model);
 
   /// Per-class scores, bit-identical to the source model's margins.
   [[nodiscard]] std::vector<double> decision_function(
@@ -143,10 +114,6 @@ class FlatClassifier {
 
   /// Bit-identical to the source classifier's predict().
   [[nodiscard]] int predict(std::span<const double> row) const noexcept;
-
-  /// Batch predict over the global thread pool (deterministic).
-  [[nodiscard]] std::vector<int> predict_batch(
-      const ml::FeatureMatrix& x) const;
 
   /// Columnar batch predict: out[r] is row r's class, bit-identical to
   /// predict() (per-class scores via the same block kernel, first-max-wins

@@ -5,9 +5,11 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <utility>
 #include <vector>
+
+#include "data/features.h"
+#include "ml/gbdt.h"
 
 namespace lumos::serve {
 namespace {
@@ -140,28 +142,6 @@ ml::GbdtConfig read_gbdt_config(Reader& r) {
   c.lambda = r.f64();
   c.n_bins = r.i32();
   c.subsample = r.f64();
-  c.seed = r.u64();
-  return c;
-}
-
-void write_forest_config(Writer& w, const ml::ForestConfig& c) {
-  w.u64(c.n_trees);
-  w.i32(c.max_depth);
-  w.u64(c.min_samples_leaf);
-  w.i32(c.n_bins);
-  w.u64(c.feature_subsample);
-  w.f64(c.bootstrap_fraction);
-  w.u64(c.seed);
-}
-
-ml::ForestConfig read_forest_config(Reader& r) {
-  ml::ForestConfig c;
-  c.n_trees = static_cast<std::size_t>(r.u64());
-  c.max_depth = r.i32();
-  c.min_samples_leaf = static_cast<std::size_t>(r.u64());
-  c.n_bins = r.i32();
-  c.feature_subsample = static_cast<std::size_t>(r.u64());
-  c.bootstrap_fraction = r.f64();
   c.seed = r.u64();
   return c;
 }
@@ -367,61 +347,6 @@ bool read_gbdt_classifier_payload(Reader& r, ml::GbdtClassifier& out) {
   return true;
 }
 
-void write_forest_regressor_payload(Writer& w,
-                                    const ml::RandomForestRegressor& m) {
-  write_forest_config(w, m.config());
-  write_mapper(w, m.mapper());
-  w.u64(m.trees().size());
-  for (const auto& t : m.trees()) write_tree(w, t);
-}
-
-bool read_forest_regressor_payload(Reader& r,
-                                   ml::RandomForestRegressor& out) {
-  const ml::ForestConfig cfg = read_forest_config(r);
-  ml::BinMapper mapper;
-  if (!read_mapper(r, mapper)) return false;
-  const std::size_t n_trees = r.count(8 + 2);
-  std::vector<ml::GradientTree> trees(n_trees);
-  for (auto& t : trees) {
-    if (!read_tree(r, mapper.n_features(), t)) return false;
-  }
-  if (!r.ok()) return false;
-  out = ml::RandomForestRegressor(cfg);
-  out.restore(std::move(mapper), std::move(trees));
-  return true;
-}
-
-void write_forest_classifier_payload(Writer& w,
-                                     const ml::RandomForestClassifier& m) {
-  write_forest_config(w, m.config());
-  w.i32(m.n_classes());
-  write_mapper(w, m.mapper());
-  w.u64(m.trees().size());
-  for (const auto& t : m.trees()) write_tree(w, t);
-}
-
-bool read_forest_classifier_payload(Reader& r,
-                                    ml::RandomForestClassifier& out) {
-  const ml::ForestConfig cfg = read_forest_config(r);
-  const std::int32_t n_classes = r.i32();
-  ml::BinMapper mapper;
-  if (n_classes < 0 || !read_mapper(r, mapper)) return false;
-  const std::size_t n_trees = r.count(8 + 2);
-  // predict() indexes trees as [t * n_classes + c] with t < cfg.n_trees,
-  // so the stored count must match the stored config exactly.
-  if (n_trees != cfg.n_trees * static_cast<std::size_t>(n_classes)) {
-    return false;
-  }
-  std::vector<ml::GradientTree> trees(n_trees);
-  for (auto& t : trees) {
-    if (!read_tree(r, mapper.n_features(), t)) return false;
-  }
-  if (!r.ok()) return false;
-  out = ml::RandomForestClassifier(cfg);
-  out.restore(std::move(mapper), n_classes, std::move(trees));
-  return true;
-}
-
 void write_lumos5g_payload(Writer& w, const core::Lumos5G& m) {
   const core::Lumos5GConfig& cfg = m.config();
   write_spec(w, cfg.feature_spec);
@@ -438,123 +363,15 @@ void write_lumos5g_payload(Writer& w, const core::Lumos5G& m) {
   }
 }
 
-// --- seq2seq payload ------------------------------------------------------
-
-void write_seq2seq_config(Writer& w, const nn::Seq2SeqConfig& c) {
-  w.u64(c.input_dim);
-  w.u64(c.hidden);
-  w.u64(c.layers);
-  w.u64(c.seq_len);
-  w.u64(c.out_len);
-  w.u64(c.epochs);
-  w.u64(c.batch_size);
-  w.f64(c.lr);
-  w.f64(c.clip_norm);
-  w.u64(c.seed);
-  w.boolean(c.verbose);
-}
-
-nn::Seq2SeqConfig read_seq2seq_config(Reader& r) {
-  nn::Seq2SeqConfig c;
-  c.input_dim = static_cast<std::size_t>(r.u64());
-  c.hidden = static_cast<std::size_t>(r.u64());
-  c.layers = static_cast<std::size_t>(r.u64());
-  c.seq_len = static_cast<std::size_t>(r.u64());
-  c.out_len = static_cast<std::size_t>(r.u64());
-  c.epochs = static_cast<std::size_t>(r.u64());
-  c.batch_size = static_cast<std::size_t>(r.u64());
-  c.lr = r.f64();
-  c.clip_norm = r.f64();
-  c.seed = r.u64();
-  c.verbose = r.boolean();
-  return c;
-}
-
-/// a*b, saturating at uint64 max instead of wrapping — used to bound a
-/// crafted config's parameter volume before any allocation happens.
-std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) noexcept {
-  if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return a * b;
-}
-
-/// Number of doubles a Seq2Seq of this config carries. Mirrors the
-/// construction in Seq2Seq's ctor: per LSTM cell wx (4H x in), wh (4H x H),
-/// b (1 x 4H); encoder layer 0 reads input_dim, decoder layer 0 reads the
-/// scalar token, deeper layers read H; head is (1 x H) + (1 x 1).
-std::uint64_t seq2seq_param_count(const nn::Seq2SeqConfig& c) noexcept {
-  const std::uint64_t h4 = sat_mul(4, c.hidden);
-  std::uint64_t total = 0;
-  const auto cell = [&](std::uint64_t in_dim) {
-    total = total + sat_mul(h4, in_dim);  // wx
-    total = total + sat_mul(h4, c.hidden);  // wh
-    total = total + h4;  // b
-  };
-  for (std::size_t l = 0; l < c.layers; ++l) {
-    cell(l == 0 ? c.input_dim : c.hidden);
-    cell(l == 0 ? 1 : c.hidden);
-    if (total == std::numeric_limits<std::uint64_t>::max()) break;
-  }
-  return total + c.hidden + 1;  // head weight + bias
-}
-
-void write_seq2seq_payload(Writer& w, const nn::Seq2Seq& m) {
-  write_seq2seq_config(w, m.config());
-  const auto matrices = m.parameter_matrices();
-  w.u64(matrices.size());
-  for (const nn::Matrix* mat : matrices) {
-    w.u64(mat->rows());
-    w.u64(mat->cols());
-    for (std::size_t i = 0; i < mat->size(); ++i) w.f64(mat->data()[i]);
-  }
-}
-
-Expected<nn::Seq2Seq> read_seq2seq_payload(Reader& r) {
-  const nn::Seq2SeqConfig cfg = read_seq2seq_config(r);
-  if (!r.ok()) return parse_error("malformed seq2seq config block");
-  // The Seq2Seq ctor refuses zero dimensions (by throwing, which the serve
-  // layer never does on the query path) — reject before constructing. Also
-  // bound the parameter volume a crafted config implies against the bytes
-  // actually present, so a hash-valid but hand-built artifact cannot drive
-  // a multi-gigabyte allocation.
-  if (cfg.input_dim == 0 || cfg.hidden == 0 || cfg.layers == 0 ||
-      cfg.seq_len == 0 || cfg.out_len == 0) {
-    return parse_error("seq2seq config has a zero dimension");
-  }
-  if (seq2seq_param_count(cfg) > r.remaining() / 8) {
-    return parse_error(
-        "seq2seq config implies more parameters than the payload holds");
-  }
-  nn::Seq2Seq model(cfg);
-  const auto matrices = model.parameter_matrices();
-  const std::size_t stored = r.count(8 + 8);
-  if (!r.ok() || stored != matrices.size()) {
-    return parse_error("stored matrix count disagrees with the network "
-                       "derived from the stored config");
-  }
-  for (nn::Matrix* mat : matrices) {
-    const auto rows = static_cast<std::size_t>(r.u64());
-    const auto cols = static_cast<std::size_t>(r.u64());
-    if (!r.ok() || rows != mat->rows() || cols != mat->cols()) {
-      return parse_error("stored matrix shape disagrees with the network "
-                         "derived from the stored config");
-    }
-    for (std::size_t i = 0; i < mat->size(); ++i) mat->data()[i] = r.f64();
-  }
-  if (!r.done()) return parse_error("malformed seq2seq payload");
-  return model;
-}
-
 // ---------------------------------------------------------------------------
 // Envelope: header + hash around a payload.
 // ---------------------------------------------------------------------------
 
-std::string finalize(ModelKind kind, const std::string& payload) {
+std::string finalize(const std::string& payload) {
   Writer w;
   w.raw(kMagic, sizeof(kMagic));
   w.u32(kFormatVersion);
-  w.u8(static_cast<std::uint8_t>(kind));
+  w.u8(static_cast<std::uint8_t>(ModelKind::kLumos5G));
   w.u64(kHeaderSize + payload.size() + kHashSize);
   w.raw(payload.data(), payload.size());
   w.u64(fnv1a(w.view()));
@@ -562,8 +379,7 @@ std::string finalize(ModelKind kind, const std::string& payload) {
 }
 
 /// Validates magic/version/size/hash and hands back the payload slice.
-Expected<std::string_view> check_envelope(std::string_view bytes,
-                                          ModelKind expected) {
+Expected<std::string_view> check_envelope(std::string_view bytes) {
   if (bytes.size() < sizeof(kMagic)) {
     return Error{ErrorCode::kTruncated,
                  "model artifact shorter than the 4-byte magic"};
@@ -608,116 +424,24 @@ Expected<std::string_view> check_envelope(std::string_view bytes,
                  "model artifact failed its integrity hash (bit rot or "
                  "partial write)"};
   }
-  if (kind != static_cast<std::uint8_t>(expected)) {
-    if (kind > kMaxKindTag) {
-      return parse_error("unknown model kind tag " + std::to_string(kind));
-    }
-    return parse_error(
-        std::string("artifact holds a ") +
-        to_string(static_cast<ModelKind>(kind)) + ", loader expects a " +
-        to_string(expected));
+  if (kind != static_cast<std::uint8_t>(ModelKind::kLumos5G)) {
+    // Tags 0-3 and 5 are retired kinds; anything else was never assigned.
+    return parse_error("model kind tag " + std::to_string(kind) +
+                       " is not a lumos5g artifact (tag 4)");
   }
   return bytes.substr(kHeaderSize, hash_at - kHeaderSize);
 }
 
 }  // namespace
 
-const char* to_string(ModelKind k) noexcept {
-  switch (k) {
-    case ModelKind::kGbdtRegressor: return "gbdt_regressor";
-    case ModelKind::kGbdtClassifier: return "gbdt_classifier";
-    case ModelKind::kForestRegressor: return "forest_regressor";
-    case ModelKind::kForestClassifier: return "forest_classifier";
-    case ModelKind::kLumos5G: return "lumos5g";
-    case ModelKind::kSeq2Seq: return "seq2seq";
-  }
-  return "?";
-}
-
-std::string save_bytes(const ml::GbdtRegressor& model) {
-  Writer w;
-  write_gbdt_regressor_payload(w, model);
-  return finalize(ModelKind::kGbdtRegressor, w.view());
-}
-
-std::string save_bytes(const ml::GbdtClassifier& model) {
-  Writer w;
-  write_gbdt_classifier_payload(w, model);
-  return finalize(ModelKind::kGbdtClassifier, w.view());
-}
-
-std::string save_bytes(const ml::RandomForestRegressor& model) {
-  Writer w;
-  write_forest_regressor_payload(w, model);
-  return finalize(ModelKind::kForestRegressor, w.view());
-}
-
-std::string save_bytes(const ml::RandomForestClassifier& model) {
-  Writer w;
-  write_forest_classifier_payload(w, model);
-  return finalize(ModelKind::kForestClassifier, w.view());
-}
-
 std::string save_bytes(const core::Lumos5G& model) {
   Writer w;
   write_lumos5g_payload(w, model);
-  return finalize(ModelKind::kLumos5G, w.view());
-}
-
-std::string save_bytes(const nn::Seq2Seq& model) {
-  Writer w;
-  write_seq2seq_payload(w, model);
-  return finalize(ModelKind::kSeq2Seq, w.view());
-}
-
-Expected<ml::GbdtRegressor> load_gbdt_regressor(std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kGbdtRegressor);
-  if (!payload) return payload.error();
-  Reader r(*payload);
-  ml::GbdtRegressor model;
-  if (!read_gbdt_regressor_payload(r, model) || !r.done()) {
-    return parse_error("malformed gbdt_regressor payload");
-  }
-  return model;
-}
-
-Expected<ml::GbdtClassifier> load_gbdt_classifier(std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kGbdtClassifier);
-  if (!payload) return payload.error();
-  Reader r(*payload);
-  ml::GbdtClassifier model;
-  if (!read_gbdt_classifier_payload(r, model) || !r.done()) {
-    return parse_error("malformed gbdt_classifier payload");
-  }
-  return model;
-}
-
-Expected<ml::RandomForestRegressor> load_forest_regressor(
-    std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kForestRegressor);
-  if (!payload) return payload.error();
-  Reader r(*payload);
-  ml::RandomForestRegressor model;
-  if (!read_forest_regressor_payload(r, model) || !r.done()) {
-    return parse_error("malformed forest_regressor payload");
-  }
-  return model;
-}
-
-Expected<ml::RandomForestClassifier> load_forest_classifier(
-    std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kForestClassifier);
-  if (!payload) return payload.error();
-  Reader r(*payload);
-  ml::RandomForestClassifier model;
-  if (!read_forest_classifier_payload(r, model) || !r.done()) {
-    return parse_error("malformed forest_classifier payload");
-  }
-  return model;
+  return finalize(w.view());
 }
 
 Expected<core::Lumos5G> load_lumos5g(std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kLumos5G);
+  const auto payload = check_envelope(bytes);
   if (!payload) return payload.error();
   Reader r(*payload);
   core::Lumos5GConfig cfg;
@@ -743,41 +467,20 @@ Expected<core::Lumos5G> load_lumos5g(std::string_view bytes) {
         !read_gbdt_classifier_payload(r, cls)) {
       return parse_error("malformed models for tier " + std::to_string(i));
     }
+    // read_tree bounds each split by the model's *stored* n_features; the
+    // serving walk indexes a row of the tier's feature width, so the two
+    // must agree or a crafted split could read past the row.
+    const std::size_t width =
+        data::feature_width(model.tier_specs()[i], cfg.features);
+    if (reg.n_features() != width || cls.n_features() != width) {
+      return parse_error("tier " + std::to_string(i) +
+                         " models disagree with the tier's feature width " +
+                         std::to_string(width));
+    }
     model.restore_tier(i, std::move(reg), std::move(cls));
   }
   if (!r.done()) return parse_error("malformed lumos5g payload");
   return model;
-}
-
-Expected<nn::Seq2Seq> load_seq2seq(std::string_view bytes) {
-  const auto payload = check_envelope(bytes, ModelKind::kSeq2Seq);
-  if (!payload) return payload.error();
-  Reader r(*payload);
-  return read_seq2seq_payload(r);
-}
-
-Expected<ModelKind> peek_kind(std::string_view bytes) {
-  if (bytes.size() < kHeaderSize) {
-    return Error{ErrorCode::kTruncated,
-                 "model artifact shorter than its fixed header"};
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Error{ErrorCode::kBadMagic,
-                 "not a Lumos5G model artifact (magic != \"L5GM\")"};
-  }
-  Reader header(bytes.substr(sizeof(kMagic)));
-  const std::uint32_t version = header.u32();
-  if (version != kFormatVersion) {
-    return Error{ErrorCode::kVersionMismatch,
-                 "model artifact is format v" + std::to_string(version) +
-                     "; this build reads exactly v" +
-                     std::to_string(kFormatVersion)};
-  }
-  const std::uint8_t kind = header.u8();
-  if (kind > kMaxKindTag) {
-    return parse_error("unknown model kind tag " + std::to_string(kind));
-  }
-  return static_cast<ModelKind>(kind);
 }
 
 Expected<void> write_artifact(const std::filesystem::path& path,

@@ -21,7 +21,8 @@
 //   * Fail-typed, never UB: a wrong magic, incompatible version, short
 //     file, or flipped bit yields Expected<T> carrying kBadMagic /
 //     kVersionMismatch / kTruncated / kCorrupt; structural impossibilities
-//     that survive the hash (a hand-crafted file) yield kParseError.
+//     that survive the hash (a hand-crafted file: the hash is FNV-1a, an
+//     integrity check, not a MAC) yield kParseError.
 //
 // Versioning policy: any change to the byte layout bumps kFormatVersion.
 // Readers accept exactly the version they were built for — a serving
@@ -37,9 +38,6 @@
 
 #include "common/error.h"
 #include "core/lumos5g.h"
-#include "ml/forest.h"
-#include "ml/gbdt.h"
-#include "nn/seq2seq.h"
 
 namespace lumos::serve {
 
@@ -49,49 +47,26 @@ inline constexpr char kMagic[4] = {'L', '5', 'G', 'M'};
 /// Current (and only accepted) format version.
 inline constexpr std::uint32_t kFormatVersion = 1;
 
-/// Kind tag stored in the artifact header; a loader for kind X rejects an
-/// artifact of kind Y with kParseError.
+/// Kind tag stored in the artifact header. The trained Lumos5G facade is
+/// the only kind: tags 0-3 (standalone GBDT and Random Forest models) and
+/// 5 (Seq2Seq) are retired, never reused, and the loader rejects them —
+/// and any unknown tag — with kParseError.
 enum class ModelKind : std::uint8_t {
-  kGbdtRegressor = 0,
-  kGbdtClassifier = 1,
-  kForestRegressor = 2,
-  kForestClassifier = 3,
   kLumos5G = 4,
-  kSeq2Seq = 5,
 };
 
-/// Highest kind tag this build understands; anything above is rejected
-/// with kParseError instead of being guessed at.
-inline constexpr std::uint8_t kMaxKindTag =
-    static_cast<std::uint8_t>(ModelKind::kSeq2Seq);
-
-[[nodiscard]] const char* to_string(ModelKind k) noexcept;
-
 // --- byte-buffer API ------------------------------------------------------
-// The in-memory half: save_bytes is pure and deterministic; the loaders
-// parse a buffer without touching the filesystem. File I/O wraps these.
+// The in-memory half: save_bytes is pure and deterministic; the loader
+// parses a buffer without touching the filesystem. File I/O wraps these.
 
-[[nodiscard]] std::string save_bytes(const ml::GbdtRegressor& model);
-[[nodiscard]] std::string save_bytes(const ml::GbdtClassifier& model);
-[[nodiscard]] std::string save_bytes(const ml::RandomForestRegressor& model);
-[[nodiscard]] std::string save_bytes(const ml::RandomForestClassifier& model);
 [[nodiscard]] std::string save_bytes(const core::Lumos5G& model);
-[[nodiscard]] std::string save_bytes(const nn::Seq2Seq& model);
 
-[[nodiscard]] Expected<ml::GbdtRegressor> load_gbdt_regressor(
-    std::string_view bytes);
-[[nodiscard]] Expected<ml::GbdtClassifier> load_gbdt_classifier(
-    std::string_view bytes);
-[[nodiscard]] Expected<ml::RandomForestRegressor> load_forest_regressor(
-    std::string_view bytes);
-[[nodiscard]] Expected<ml::RandomForestClassifier> load_forest_classifier(
-    std::string_view bytes);
+/// Parses a Lumos5G artifact. Beyond the envelope checks, every trained
+/// tier's regressor and classifier must declare the feature width of its
+/// tier (data::feature_width), and every split must name a feature below
+/// it, so a hash-valid but hand-built artifact cannot make serving read
+/// past a feature row: kParseError otherwise.
 [[nodiscard]] Expected<core::Lumos5G> load_lumos5g(std::string_view bytes);
-[[nodiscard]] Expected<nn::Seq2Seq> load_seq2seq(std::string_view bytes);
-
-/// Kind recorded in an artifact's header, without parsing the payload.
-/// Errors like the loaders on short/invalid headers.
-[[nodiscard]] Expected<ModelKind> peek_kind(std::string_view bytes);
 
 // --- file API -------------------------------------------------------------
 
@@ -105,9 +80,8 @@ inline constexpr std::uint8_t kMaxKindTag =
 [[nodiscard]] Expected<std::string> read_artifact(
     const std::filesystem::path& path);
 
-template <typename Model>
-[[nodiscard]] Expected<void> save_model(const Model& model,
-                                        const std::filesystem::path& path) {
+[[nodiscard]] inline Expected<void> save_model(
+    const core::Lumos5G& model, const std::filesystem::path& path) {
   return write_artifact(path, save_bytes(model));
 }
 

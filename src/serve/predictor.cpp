@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/contracts.h"
-#include "common/parallel.h"
 
 namespace lumos::serve {
 
@@ -94,18 +93,6 @@ Expected<core::Prediction> Predictor::tail_predict(
   return Error{ErrorCode::kWindowUnusable, "window unusable"};
 }
 
-void Predictor::predict_spans(
-    std::span<const std::span<const data::SampleRecord>> windows,
-    std::span<Expected<core::Prediction>> out, std::size_t min_tier) const {
-  LUMOS_EXPECTS(out.size() >= windows.size(),
-                "Predictor::predict_spans: one output slot per window");
-  parallel_for(0, windows.size(), 8, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      out[i] = predict(windows[i], min_tier);
-    }
-  });
-}
-
 void Predictor::predict_spans_columnar(
     std::span<const std::span<const data::SampleRecord>> windows,
     std::span<Expected<core::Prediction>> out, PredictScratch& scratch,
@@ -174,31 +161,6 @@ void Predictor::predict_spans_columnar(
     const std::uint32_t idx = scratch.pending_[k];
     out[idx] = tail_predict(windows[idx]);
   }
-}
-
-std::vector<Expected<core::Prediction>> Predictor::predict_batch(
-    std::span<const Session> sessions, std::size_t min_tier) const {
-  std::vector<std::span<const data::SampleRecord>> spans;
-  spans.reserve(sessions.size());
-  for (const Session& s : sessions) spans.push_back(s.window());
-  std::vector<Expected<core::Prediction>> out(
-      sessions.size(),
-      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-  predict_spans(spans, out, min_tier);
-  return out;
-}
-
-std::vector<Expected<core::Prediction>> Predictor::predict_windows(
-    std::span<const std::vector<data::SampleRecord>> windows,
-    std::size_t min_tier) const {
-  std::vector<std::span<const data::SampleRecord>> spans;
-  spans.reserve(windows.size());
-  for (const auto& w : windows) spans.emplace_back(w);
-  std::vector<Expected<core::Prediction>> out(
-      windows.size(),
-      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-  predict_spans(spans, out, min_tier);
-  return out;
 }
 
 std::size_t Predictor::n_nodes() const noexcept {

@@ -8,8 +8,9 @@
 // Per-UE state lives in serve::Session: the C feature group needs the UE's
 // recent throughput/context history, so each UE keeps a small rolling
 // window of SampleRecords and the app feeds one record per second via
-// observe(). Batched prediction over many sessions is chunked across
-// lumos::ThreadPool and is bit-identical at any LUMOS_THREADS setting.
+// observe(). Batched prediction (predict_spans_columnar) over many
+// windows is chunked across lumos::ThreadPool and is bit-identical at any
+// LUMOS_THREADS setting.
 // (serve::Server keeps the same windows in its own preallocated ring
 // store; Session is the standalone form for apps and tests.)
 #pragma once
@@ -119,43 +120,24 @@ class Predictor {
     return predict(session.window(), min_tier);
   }
 
-  /// Allocation-free batched walk: out[i] receives windows[i]'s prediction
-  /// (or its typed error). Requires out.size() == windows.size(). Windows
-  /// are chunked over the global thread pool; each slot is written once,
-  /// so the result is identical at any LUMOS_THREADS. This is the batched
-  /// serving hot path — serve::Server::poll calls it with preallocated
-  /// arenas, and it is a root in the lint reachability proof.
-  void predict_spans(std::span<const std::span<const data::SampleRecord>> windows,
-                     std::span<Expected<core::Prediction>> out,
-                     std::size_t min_tier = 0) const;
-
-  /// Columnar batched walk, bit-identical to predict_spans on the same
-  /// inputs. Instead of walking every tier per row, it walks every row per
-  /// tier: for each tier (starting at `min_tier`), the windows still
-  /// unanswered are feature-extracted, scattered into the scratch's
-  /// column-major arena, and evaluated in one predict_columnar pass per
-  /// model — many rows advance together through each tree level over
-  /// contiguous feature columns. Windows no tier can serve fall to the
-  /// harmonic tail, exactly like predict().
+  /// The batched serving walk: out[i] receives windows[i]'s prediction
+  /// (or its typed error), bit-identical to predict(windows[i], min_tier).
+  /// Requires out.size() >= windows.size(). Instead of walking every tier
+  /// per row, it walks every row per tier: for each tier (starting at
+  /// `min_tier`), the windows still unanswered are feature-extracted,
+  /// scattered into the scratch's column-major arena, and evaluated in one
+  /// predict_columnar pass per model — many rows advance together through
+  /// each tree level over contiguous feature columns. Windows no tier can
+  /// serve fall to the harmonic tail, exactly like predict(). Each slot is
+  /// written once, so the result is identical at any LUMOS_THREADS.
   ///
   /// Allocation-free given a scratch with max_windows() >= windows.size()
   /// and max_width() >= this->max_width() (reserve it cold; Server does so
-  /// at construction and reload). A root in the lint reachability proof.
+  /// at construction and reload). serve::Server::poll calls it; a root in
+  /// the lint reachability proof.
   void predict_spans_columnar(
       std::span<const std::span<const data::SampleRecord>> windows,
       std::span<Expected<core::Prediction>> out, PredictScratch& scratch,
-      std::size_t min_tier = 0) const;
-
-  /// Batched prediction: out[i] is sessions[i]'s prediction (or its typed
-  /// error — e.g. a freshly created session with an unusable window).
-  /// Allocating convenience wrapper over predict_spans().
-  [[nodiscard]] std::vector<Expected<core::Prediction>> predict_batch(
-      std::span<const Session> sessions, std::size_t min_tier = 0) const;
-
-  /// Same batched walk over raw window snapshots (one per queued request).
-  /// Allocating convenience wrapper over predict_spans().
-  [[nodiscard]] std::vector<Expected<core::Prediction>> predict_windows(
-      std::span<const std::vector<data::SampleRecord>> windows,
       std::size_t min_tier = 0) const;
 
   /// The model tier chain (most capable first), as in Lumos5G.

@@ -410,8 +410,8 @@ void Server::poll_shard(Shard& shard, std::size_t min_tier) const {
   // One batched columnar walk into the shard's result arena: the shard's
   // feature rows are packed tier-by-tier into its preallocated scratch
   // and evaluated level-synchronously over contiguous columns —
-  // bit-identical to predict_spans (enforced by tests/test_columnar.cpp)
-  // but cache-friendlier per tree level.
+  // bit-identical to per-window Predictor::predict (enforced by
+  // tests/test_columnar.cpp) but cache-friendlier per tree level.
   predictor_.predict_spans_columnar(
       {shard.span_arena_.data(), shard.n_windows_},
       {shard.result_arena_.data(), shard.n_windows_}, shard.scratch_,

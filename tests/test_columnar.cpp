@@ -3,9 +3,10 @@
 // uint8/uint16 width promotion, NaN missing-code routing), bit-identity of
 // columnar-vs-row tree training and prediction, the serving-side
 // ColumnStore + FlatForest/FlatClassifier columnar block kernels, and the
-// Predictor's tier-packed columnar batch walk against predict_spans. The
-// suite runs with LUMOS_THREADS pinned to 1 and 8 (CMake registrations):
-// every equality here is a bit-identity contract, not a tolerance.
+// Predictor's tier-packed columnar batch walk against per-window
+// Predictor::predict. The suite runs with LUMOS_THREADS pinned to 1 and 8
+// (CMake registrations): every equality here is a bit-identity contract,
+// not a tolerance.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -305,7 +306,7 @@ TEST(ColumnarServe, FlatForestMatchesRowPredict) {
   std::vector<double> out(lmc().x.rows());
   flat.predict_columnar(cols.block(0, lmc().x.rows()), out);
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(bits(out[r]), bits(flat.predict(lmc().x.row(r)))) << "row " << r;
+    ASSERT_EQ(bits(out[r]), bits(model.predict(lmc().x.row(r)))) << "row " << r;
   }
 }
 
@@ -333,7 +334,7 @@ TEST(ColumnarServe, FlatForestRoutesNaNIdentically) {
   std::vector<double> out(holed.rows());
   flat.predict_columnar(cols.block(0, holed.rows()), out);
   for (std::size_t r = 0; r < holed.rows(); ++r) {
-    ASSERT_EQ(bits(out[r]), bits(flat.predict(holed.row(r)))) << "row " << r;
+    ASSERT_EQ(bits(out[r]), bits(model.predict(holed.row(r)))) << "row " << r;
   }
 }
 
@@ -348,7 +349,7 @@ TEST(ColumnarServe, FlatClassifierMatchesRowPredict) {
   std::vector<int> out(lmc().x.rows());
   flat.predict_columnar(cols.block(0, lmc().x.rows()), out);
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(out[r], flat.predict(lmc().x.row(r))) << "row " << r;
+    ASSERT_EQ(out[r], model.predict(lmc().x.row(r))) << "row " << r;
   }
 }
 
@@ -360,7 +361,7 @@ TEST(ColumnarServe, EmptyClassifierPredictsClassZero) {
   for (int c : out) EXPECT_EQ(c, 0);
 }
 
-// ---- Predictor: tier-packed columnar walk vs predict_spans ----------------
+// ---- Predictor: tier-packed columnar walk vs per-window predict ----------
 
 const core::Lumos5G& facade() {
   static const core::Lumos5G* m = [] {
@@ -406,13 +407,11 @@ TEST(PredictorColumnar, MatchesPredictSpansAtEveryMinTier) {
 
   for (std::size_t min_tier = 0; min_tier <= p.tier_specs().size() + 1;
        ++min_tier) {
-    std::vector<Expected<core::Prediction>> row_out(
-        windows.size(),
-        Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+    std::vector<Expected<core::Prediction>> row_out;
+    for (const auto& w : windows) row_out.push_back(p.predict(w, min_tier));
     std::vector<Expected<core::Prediction>> col_out(
         windows.size(),
         Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-    p.predict_spans(windows, row_out, min_tier);
     p.predict_spans_columnar(windows, col_out, scratch, min_tier);
 
     for (std::size_t i = 0; i < windows.size(); ++i) {

@@ -244,6 +244,28 @@ TEST(LumosLintSymbols, OutOfLineDefinitionAndBases) {
   EXPECT_EQ(syms.functions[0].qual, "ManualClock::tick");
 }
 
+TEST(LumosLintSymbols, NestedClassAfterAccessLabel) {
+  // `private:` directly before a nested struct must not hide it: the
+  // receiver chains through its members depend on its member hints.
+  const std::string src =
+      "namespace lumos::serve {\n"
+      "class Predictor {\n"
+      " private:\n"
+      "  struct FlatTier {\n"
+      "    FlatForest regressor;\n"
+      "  };\n"
+      "  std::vector<FlatTier> tiers_;\n"
+      "};\n"
+      "}  // namespace\n";
+  const auto syms = extract_symbols("src/serve/x.cpp", lex_file(src));
+  ASSERT_EQ(syms.classes.size(), 2u);
+  EXPECT_EQ(syms.classes[1].name, "FlatTier");
+  ASSERT_TRUE(syms.classes[1].members.count("regressor"));
+  EXPECT_EQ(syms.classes[1].members.at("regressor"), "FlatForest");
+  ASSERT_TRUE(syms.classes[0].members.count("tiers_"));
+  EXPECT_EQ(syms.classes[0].members.at("tiers_"), "FlatTier");
+}
+
 // ---- call-graph pass -----------------------------------------------------
 
 TEST(LumosLintCallgraph, ReceiverChainResolvesThroughMemberHints) {
@@ -315,6 +337,40 @@ TEST(LumosLintCallgraph, VirtualDispatchCoversDerivedOverrides) {
   EXPECT_TRUE(edge) << "call through Clock* must cover derived overrides";
 }
 
+TEST(LumosLintCallgraph, SiblingOverridesAreNotCallees) {
+  // A call on a concrete Gbdt cannot dispatch to Knn just because both
+  // derive from Regressor; the edge set must stay Gbdt-only.
+  const std::string src =
+      "namespace lumos {\n"
+      "class Regressor { public: virtual double predict() = 0; };\n"
+      "class Gbdt final : public Regressor {\n"
+      " public: double predict() { return 1.0; } };\n"
+      "class Knn final : public Regressor {\n"
+      " public: double predict() { return 2.0; } };\n"
+      "class User {\n"
+      " public:\n"
+      "  double run() { return model_.predict(); }\n"
+      " private:\n"
+      "  Gbdt model_;\n"
+      "};\n"
+      "}\n";
+  const auto g = build_callgraph({{"src/ml/x.cpp", src}});
+  const std::size_t run = g.find("User::run");
+  const std::size_t gbdt = g.find("Gbdt::predict");
+  const std::size_t knn = g.find("Knn::predict");
+  ASSERT_NE(run, static_cast<std::size_t>(-1));
+  bool to_gbdt = false;
+  bool to_knn = false;
+  for (const auto& targets : g.nodes[run].out) {
+    for (std::size_t t : targets) {
+      to_gbdt |= (t == gbdt);
+      to_knn |= (t == knn);
+    }
+  }
+  EXPECT_TRUE(to_gbdt);
+  EXPECT_FALSE(to_knn) << "a sibling override is not a possible callee";
+}
+
 // ---- reachability / policy passes over the fixtures ----------------------
 
 std::vector<Finding> analyze_fixture(const std::string& name,
@@ -372,8 +428,8 @@ TEST(LumosLintReach, UnorderedAccumulateFixtureFires) {
 TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
   // The clean tree scan is only a proof if the roots actually exist and
   // have bodies in the graph. Guard against silent rot: the real sources
-  // must yield nodes for every default root, and the batched root must
-  // reach the per-window walk.
+  // must yield nodes for every default root, and poll_shard must reach
+  // the tree kernel through the batched columnar walk.
   namespace fs = std::filesystem;
   std::vector<SourceFile> sources;
   for (const auto& entry :
@@ -393,16 +449,25 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
     EXPECT_NE(g.find(root), static_cast<std::size_t>(-1))
         << "hot-path root " << root << " has no definition in src/";
   }
-  // predict_spans must reach the single-window walk (the chain the proof
-  // covers), otherwise the batched root is vacuously clean.
-  const std::size_t spans = g.find("serve::Predictor::predict_spans");
-  ASSERT_NE(spans, static_cast<std::size_t>(-1));
-  const std::size_t single = g.find("serve::Predictor::predict");
-  bool edge = false;
-  for (const auto& targets : g.nodes[spans].out) {
-    for (std::size_t t : targets) edge |= (t == single);
+  // The chain serving actually runs must be edges in the graph, down to
+  // the tree kernel — otherwise the batched roots are vacuously clean.
+  const std::vector<std::string> chain = {
+      "serve::Server::poll_shard",
+      "serve::Predictor::predict_spans_columnar",
+      "serve::FlatForest::predict_columnar",
+      "serve::FlatForest::eval_block",
+  };
+  for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+    const std::size_t from = g.find(chain[k]);
+    const std::size_t to = g.find(chain[k + 1]);
+    ASSERT_NE(from, static_cast<std::size_t>(-1)) << chain[k];
+    ASSERT_NE(to, static_cast<std::size_t>(-1)) << chain[k + 1];
+    bool edge = false;
+    for (const auto& targets : g.nodes[from].out) {
+      for (std::size_t t : targets) edge |= (t == to);
+    }
+    EXPECT_TRUE(edge) << chain[k] << " no longer reaches " << chain[k + 1];
   }
-  EXPECT_TRUE(edge) << "predict_spans no longer reaches predict";
 }
 
 // ---- stripper regressions through the full scan --------------------------

@@ -1,9 +1,11 @@
 // Tests for lumos::serve — the versioned binary artifact format
 // (deterministic saves, bit-exact round-trips, typed failure on truncated /
-// bit-flipped / wrong-version files), the flattened inference layout
-// (bit-identical to the pointer-layout models), and the batched serving
-// Predictor (bit-identical to the Lumos5G facade, batch == individual).
+// bit-flipped / wrong-version / wrong-kind / wrong-width artifacts), the
+// flattened inference layout (bit-identical to the pointer-layout models),
+// and the batched serving Predictor (bit-identical to the Lumos5G facade,
+// batch == individual).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
@@ -12,15 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/parallel.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
-#include "ml/forest.h"
 #include "ml/gbdt.h"
-#include "nn/seq2seq.h"
 #include "serve/flat_model.h"
 #include "serve/model_io.h"
 #include "serve/predictor.h"
+#include "serve/server.h"
 #include "sim/areas.h"
 
 namespace lumos::serve {
@@ -69,30 +71,6 @@ const ml::GbdtClassifier& gbdt_cls() {
   return *m;
 }
 
-const ml::RandomForestRegressor& rf_reg() {
-  static const ml::RandomForestRegressor* m = [] {
-    ml::ForestConfig cfg;
-    cfg.n_trees = 16;
-    cfg.max_depth = 8;
-    auto* r = new ml::RandomForestRegressor(cfg);
-    r->fit(lmc().x, lmc().y_reg);
-    return r;
-  }();
-  return *m;
-}
-
-const ml::RandomForestClassifier& rf_cls() {
-  static const ml::RandomForestClassifier* m = [] {
-    ml::ForestConfig cfg;
-    cfg.n_trees = 16;
-    cfg.max_depth = 8;
-    auto* c = new ml::RandomForestClassifier(cfg);
-    c->fit(lmc().x, lmc().y_cls, data::kNumThroughputClasses);
-    return c;
-  }();
-  return *m;
-}
-
 core::Lumos5GConfig facade_config() {
   core::Lumos5GConfig cfg;
   cfg.feature_spec = data::FeatureSetSpec::parse("T+M+C");
@@ -109,6 +87,49 @@ const core::Lumos5G& facade() {
     return f;
   }();
   return *m;
+}
+
+/// A deliberately tiny facade (few, shallow trees) whose artifact is small
+/// enough for the damage matrix to load it hundreds of times.
+const core::Lumos5G& small_facade() {
+  static const core::Lumos5G* m = [] {
+    core::Lumos5GConfig cfg = facade_config();
+    cfg.gbdt.n_estimators = 4;
+    cfg.gbdt.max_depth = 3;
+    auto* f = new core::Lumos5G(cfg);
+    const auto ok = f->train(airport_ds());
+    EXPECT_TRUE(ok.has_value());
+    return f;
+  }();
+  return *m;
+}
+
+const std::string& small_artifact() {
+  static const std::string bytes = save_bytes(small_facade());
+  return bytes;
+}
+
+/// FNV-1a 64-bit, the artifact's envelope hash: lets a test rewrite a
+/// header field and still present a hash-valid artifact.
+std::string rehash(std::string bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const std::size_t hash_at = bytes.size() - 8;
+  for (std::size_t i = 0; i < hash_at; ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 1099511628211ULL;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[hash_at + i] = static_cast<char>((h >> (8 * i)) & 0xFFU);
+  }
+  return bytes;
+}
+
+/// A temp path private to this process: ctest runs this binary's suite,
+/// per-case and LUMOS_THREADS registrations concurrently, so a fixed name
+/// would let one process see (or delete) another's files.
+std::filesystem::path private_temp(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "." + std::to_string(::getpid()));
 }
 
 /// Query windows exercising every tier outcome: full context (tier 0),
@@ -144,73 +165,62 @@ std::vector<std::vector<data::SampleRecord>> query_windows() {
 // ---------- artifact format ----------
 
 TEST(ModelIo, SaveIsDeterministic) {
-  const std::string a = save_bytes(gbdt_reg());
-  const std::string b = save_bytes(gbdt_reg());
-  EXPECT_EQ(a, b);
-  EXPECT_GT(a.size(), 25u);  // header + payload + hash
-
   const std::string fa = save_bytes(facade());
   const std::string fb = save_bytes(facade());
   EXPECT_EQ(fa, fb);
-
-  const auto kind = peek_kind(a);
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, ModelKind::kGbdtRegressor);
-  const auto fkind = peek_kind(fa);
-  ASSERT_TRUE(fkind.has_value());
-  EXPECT_EQ(*fkind, ModelKind::kLumos5G);
+  EXPECT_GT(fa.size(), 25u);  // header + payload + hash
+  EXPECT_EQ(static_cast<unsigned char>(fa[8]),
+            static_cast<unsigned char>(ModelKind::kLumos5G));
 }
 
+// The GBDT payloads inside a Lumos5G artifact: every trained tier's
+// regressor reloads bit-identically on that tier's own feature rows.
 TEST(ModelIo, GbdtRegressorRoundTripBitIdentical) {
-  const auto loaded = load_gbdt_regressor(save_bytes(gbdt_reg()));
+  const auto loaded = load_lumos5g(save_bytes(facade()));
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->n_features(), gbdt_reg().n_features());
-  EXPECT_EQ(loaded->trees().size(), gbdt_reg().trees().size());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(bits(loaded->predict(lmc().x.row(r))),
-              bits(gbdt_reg().predict(lmc().x.row(r))))
-        << "row " << r;
-  }
-}
-
-TEST(ModelIo, GbdtClassifierRoundTripBitIdentical) {
-  const auto loaded = load_gbdt_classifier(save_bytes(gbdt_cls()));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->n_classes(), gbdt_cls().n_classes());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    const auto row = lmc().x.row(r);
-    ASSERT_EQ(loaded->predict(row), gbdt_cls().predict(row)) << "row " << r;
-    const auto da = loaded->decision_function(row);
-    const auto db = gbdt_cls().decision_function(row);
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t c = 0; c < da.size(); ++c) {
-      ASSERT_EQ(bits(da[c]), bits(db[c])) << "row " << r << " class " << c;
+  for (std::size_t t = 0; t < facade().tier_specs().size(); ++t) {
+    if (!facade().tier_trained(t)) continue;
+    const ml::GbdtRegressor& a = facade().tier_regressor(t);
+    const ml::GbdtRegressor& b = loaded->tier_regressor(t);
+    EXPECT_EQ(b.n_features(), a.n_features()) << "tier " << t;
+    EXPECT_EQ(b.trees().size(), a.trees().size()) << "tier " << t;
+    const auto built = data::build_features(
+        airport_ds(), facade().tier_specs()[t], facade().config().features);
+    for (std::size_t r = 0; r < built.x.rows(); ++r) {
+      ASSERT_EQ(bits(b.predict(built.x.row(r))),
+                bits(a.predict(built.x.row(r))))
+          << "tier " << t << " row " << r;
     }
   }
 }
 
-TEST(ModelIo, ForestRegressorRoundTripBitIdentical) {
-  const auto loaded = load_forest_regressor(save_bytes(rf_reg()));
+// Same for every tier's classifier, per-class score by score.
+TEST(ModelIo, GbdtClassifierRoundTripBitIdentical) {
+  const auto loaded = load_lumos5g(save_bytes(facade()));
   ASSERT_TRUE(loaded.has_value());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(bits(loaded->predict(lmc().x.row(r))),
-              bits(rf_reg().predict(lmc().x.row(r))))
-        << "row " << r;
-  }
-}
-
-TEST(ModelIo, ForestClassifierRoundTripBitIdentical) {
-  const auto loaded = load_forest_classifier(save_bytes(rf_cls()));
-  ASSERT_TRUE(loaded.has_value());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(loaded->predict(lmc().x.row(r)), rf_cls().predict(lmc().x.row(r)))
-        << "row " << r;
+  for (std::size_t t = 0; t < facade().tier_specs().size(); ++t) {
+    if (!facade().tier_trained(t)) continue;
+    const ml::GbdtClassifier& a = facade().tier_classifier(t);
+    const ml::GbdtClassifier& b = loaded->tier_classifier(t);
+    EXPECT_EQ(b.n_classes(), a.n_classes()) << "tier " << t;
+    const auto built = data::build_features(
+        airport_ds(), facade().tier_specs()[t], facade().config().features);
+    for (std::size_t r = 0; r < built.x.rows(); ++r) {
+      const auto row = built.x.row(r);
+      ASSERT_EQ(b.predict(row), a.predict(row)) << "tier " << t << " row " << r;
+      const auto da = a.decision_function(row);
+      const auto db = b.decision_function(row);
+      ASSERT_EQ(da.size(), db.size());
+      for (std::size_t c = 0; c < da.size(); ++c) {
+        ASSERT_EQ(bits(db[c]), bits(da[c]))
+            << "tier " << t << " row " << r << " class " << c;
+      }
+    }
   }
 }
 
 TEST(ModelIo, Lumos5GRoundTripThroughFileBitIdentical) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "lumos_test_serve_facade.l5gm";
+  const auto path = private_temp("lumos_test_serve_facade.l5gm");
   ASSERT_TRUE(save_model(facade(), path).has_value());
   const auto bytes = read_artifact(path);
   ASSERT_TRUE(bytes.has_value());
@@ -240,7 +250,7 @@ TEST(ModelIo, Lumos5GRoundTripThroughFileBitIdentical) {
 }
 
 TEST(ModelIo, EveryTruncationIsTypedTruncated) {
-  const std::string full = save_bytes(gbdt_reg());
+  const std::string& full = small_artifact();
   // Every strict prefix must fail as kTruncated — sample lengths densely
   // near the header and stride through the payload.
   std::vector<std::size_t> lengths;
@@ -249,21 +259,21 @@ TEST(ModelIo, EveryTruncationIsTypedTruncated) {
   for (std::size_t n = 32; n < full.size(); n += stride) lengths.push_back(n);
   lengths.push_back(full.size() - 1);
   for (const std::size_t n : lengths) {
-    const auto r = load_gbdt_regressor(full.substr(0, n));
+    const auto r = load_lumos5g(full.substr(0, n));
     ASSERT_FALSE(r.has_value()) << "prefix length " << n;
     EXPECT_EQ(r.error().code, ErrorCode::kTruncated) << "prefix length " << n;
   }
 }
 
 TEST(ModelIo, BitFlipsAreTypedNeverUb) {
-  const std::string full = save_bytes(gbdt_reg());
+  const std::string& full = small_artifact();
   const std::size_t stride = std::max<std::size_t>(1, full.size() / 96);
   for (std::size_t pos = 0; pos < full.size(); pos += stride) {
     for (const int bit : {0, 7}) {
       std::string damaged = full;
       damaged[pos] = static_cast<char>(
           static_cast<unsigned char>(damaged[pos]) ^ (1u << bit));
-      const auto r = load_gbdt_regressor(damaged);
+      const auto r = load_lumos5g(damaged);
       ASSERT_FALSE(r.has_value()) << "byte " << pos << " bit " << bit;
       const auto code = r.error().code;
       EXPECT_TRUE(code == ErrorCode::kBadMagic ||
@@ -276,38 +286,42 @@ TEST(ModelIo, BitFlipsAreTypedNeverUb) {
 }
 
 TEST(ModelIo, WrongMagicRejected) {
-  std::string bytes = save_bytes(gbdt_reg());
+  std::string bytes = small_artifact();
   bytes[0] = 'X';
-  const auto r = load_gbdt_regressor(bytes);
+  const auto r = load_lumos5g(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, ErrorCode::kBadMagic);
 }
 
 TEST(ModelIo, FutureVersionRejectedBeforeHashCheck) {
-  std::string bytes = save_bytes(gbdt_reg());
+  std::string bytes = small_artifact();
   // Patch the u32 version field at offset 4 to kFormatVersion + 1. The
   // hash no longer matches either, but version must win: the reader can't
   // trust its own layout knowledge on a future format.
   bytes[4] = static_cast<char>(kFormatVersion + 1);
-  const auto r = load_gbdt_regressor(bytes);
+  const auto r = load_lumos5g(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, ErrorCode::kVersionMismatch);
 }
 
+// The kind byte (offset 8) of a valid artifact rewritten to each retired
+// tag (0-3: standalone GBDT / Random Forest models, 5: Seq2Seq) and to a
+// never-assigned one, with the hash recomputed so only the kind is wrong.
 TEST(ModelIo, WrongKindRejected) {
-  const std::string bytes = save_bytes(gbdt_reg());
-  const auto r = load_forest_regressor(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kParseError);
-  const auto f = load_lumos5g(bytes);
-  ASSERT_FALSE(f.has_value());
-  EXPECT_EQ(f.error().code, ErrorCode::kParseError);
+  ASSERT_EQ(rehash(small_artifact()), small_artifact());
+  for (const int tag : {0, 1, 2, 3, 5, 200}) {
+    std::string bytes = small_artifact();
+    bytes[8] = static_cast<char>(tag);
+    const auto r = load_lumos5g(rehash(std::move(bytes)));
+    ASSERT_FALSE(r.has_value()) << "tag " << tag;
+    EXPECT_EQ(r.error().code, ErrorCode::kParseError) << "tag " << tag;
+  }
 }
 
 TEST(ModelIo, TrailingBytesRejected) {
-  std::string bytes = save_bytes(gbdt_reg());
+  std::string bytes = small_artifact();
   bytes.push_back('\0');
-  const auto r = load_gbdt_regressor(bytes);
+  const auto r = load_lumos5g(bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
 }
@@ -315,9 +329,88 @@ TEST(ModelIo, TrailingBytesRejected) {
 TEST(ModelIo, EmptyAndTinyBuffersTruncated) {
   for (const std::string_view bytes : {std::string_view{}, std::string_view{"L"},
                                        std::string_view{"L5G"}}) {
-    const auto r = load_gbdt_regressor(bytes);
+    const auto r = load_lumos5g(bytes);
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().code, ErrorCode::kTruncated);
+  }
+}
+
+/// Copy of `base` whose regressor declares `n_features` and holds one
+/// tree splitting on feature n_features - 1 — structurally valid for its
+/// own stored width, whatever the tier's row width is.
+ml::GbdtRegressor wide_regressor(const ml::GbdtRegressor& base,
+                                 std::size_t n_features) {
+  using Node = ml::GradientTree::Node;
+  Node split;
+  split.feature = static_cast<int>(n_features - 1);
+  split.threshold = 0.5;
+  split.bin = 0;
+  split.left = 1;
+  split.right = 2;
+  Node lo;
+  lo.value = 1.0;
+  Node hi;
+  hi.value = 2.0;
+  ml::GradientTree tree;
+  tree.restore({split, lo, hi}, {1.0, 0.0, 0.0}, 0);
+  ml::GbdtRegressor wide(base.config());
+  wide.restore(base.mapper(), base.base(), {tree}, n_features);
+  return wide;
+}
+
+ml::GbdtClassifier wide_classifier(const ml::GbdtClassifier& base,
+                                   std::size_t n_features) {
+  ml::GbdtClassifier wide(base.config());
+  wide.restore(base.mapper(), base.n_classes(), base.base(), base.trees(),
+               n_features);
+  return wide;
+}
+
+// A hash-valid artifact whose tier-0 model declares more features than the
+// tier's row holds must not load: serving would walk that split past the
+// end of the feature row. Reloading it into a live server rolls back.
+TEST(ModelIo, TierWiderThanItsRowRejected) {
+  const core::Lumos5G& good = small_facade();
+  ASSERT_TRUE(good.tier_trained(0));
+  const std::size_t width =
+      data::feature_width(good.tier_specs()[0], good.config().features);
+  ASSERT_EQ(good.tier_regressor(0).n_features(), width);
+
+  core::Lumos5G wide_reg = good;
+  wide_reg.restore_tier(0, wide_regressor(good.tier_regressor(0), width + 101),
+                        good.tier_classifier(0));
+  core::Lumos5G wide_cls = good;
+  wide_cls.restore_tier(0, good.tier_regressor(0),
+                        wide_classifier(good.tier_classifier(0), width + 1));
+  for (const core::Lumos5G* bad : {&wide_reg, &wide_cls}) {
+    const std::string bytes = save_bytes(*bad);
+    const auto r = load_lumos5g(bytes);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, ErrorCode::kParseError) << r.error().describe();
+
+    auto compiled = Predictor::compile(good);
+    ASSERT_TRUE(compiled.has_value());
+    ManualClock clock;
+    Server server(std::move(*compiled), ServerConfig{}, clock);
+    const auto reload = server.reload_bytes(bytes);
+    ASSERT_FALSE(reload.has_value());
+    EXPECT_EQ(reload.error().code, ErrorCode::kParseError);
+    EXPECT_EQ(server.model_generation(), 1u);
+
+    // The old model still answers, bit for bit.
+    const auto windows = query_windows();
+    const auto& window = windows.front();
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      ASSERT_TRUE(server.submit({7, window[i], 0}).has_value());
+    }
+    const auto responses = server.drain();
+    ASSERT_EQ(responses.size(), window.size());
+    const auto expect = good.predict(window);
+    const auto& got = responses.back().result;
+    ASSERT_TRUE(expect.has_value());
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(bits(got->throughput_mbps), bits(expect->throughput_mbps));
+    EXPECT_EQ(got->tier, expect->tier);
   }
 }
 
@@ -332,21 +425,9 @@ TEST(ModelIo, MissingFileIsIoError) {
 TEST(FlatModel, GbdtForestMatchesPointerBitwise) {
   const FlatForest flat = FlatForest::flatten(gbdt_reg());
   EXPECT_EQ(flat.n_trees(), gbdt_reg().trees().size());
-  const auto batch = flat.predict_batch(lmc().x);
-  ASSERT_EQ(batch.size(), lmc().x.rows());
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     ASSERT_EQ(bits(flat.predict(lmc().x.row(r))),
               bits(gbdt_reg().predict(lmc().x.row(r))))
-        << "row " << r;
-    ASSERT_EQ(bits(batch[r]), bits(gbdt_reg().predict(lmc().x.row(r))));
-  }
-}
-
-TEST(FlatModel, RandomForestMatchesPointerBitwise) {
-  const FlatForest flat = FlatForest::flatten(rf_reg());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(bits(flat.predict(lmc().x.row(r))),
-              bits(rf_reg().predict(lmc().x.row(r))))
         << "row " << r;
   }
 }
@@ -354,25 +435,15 @@ TEST(FlatModel, RandomForestMatchesPointerBitwise) {
 TEST(FlatModel, GbdtClassifierMatchesPointerBitwise) {
   const FlatClassifier flat = FlatClassifier::flatten(gbdt_cls());
   EXPECT_EQ(flat.n_classes(), gbdt_cls().n_classes());
-  const auto batch = flat.predict_batch(lmc().x);
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     const auto row = lmc().x.row(r);
     ASSERT_EQ(flat.predict(row), gbdt_cls().predict(row)) << "row " << r;
-    ASSERT_EQ(batch[r], gbdt_cls().predict(row));
     const auto da = flat.decision_function(row);
     const auto db = gbdt_cls().decision_function(row);
     ASSERT_EQ(da.size(), db.size());
     for (std::size_t c = 0; c < da.size(); ++c) {
       ASSERT_EQ(bits(da[c]), bits(db[c])) << "row " << r << " class " << c;
     }
-  }
-}
-
-TEST(FlatModel, RandomForestClassifierMatchesPointer) {
-  const FlatClassifier flat = FlatClassifier::flatten(rf_cls());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(flat.predict(lmc().x.row(r)), rf_cls().predict(lmc().x.row(r)))
-        << "row " << r;
   }
 }
 
@@ -450,8 +521,15 @@ TEST(Predictor, BatchMatchesIndividual) {
   }
   sessions.emplace_back();  // empty session: typed error expected
 
-  const auto batch = compiled->predict_batch(sessions);
-  ASSERT_EQ(batch.size(), sessions.size());
+  // The batched API is the columnar walk the server runs.
+  std::vector<std::span<const data::SampleRecord>> windows;
+  for (const Session& s : sessions) windows.push_back(s.window());
+  std::vector<Expected<core::Prediction>> batch(
+      sessions.size(),
+      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+  PredictScratch scratch;
+  scratch.reserve(windows.size(), compiled->max_width());
+  compiled->predict_spans_columnar(windows, batch, scratch);
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const auto single = compiled->predict(sessions[i]);
     ASSERT_EQ(batch[i].has_value(), single.has_value()) << "session " << i;
@@ -463,127 +541,6 @@ TEST(Predictor, BatchMatchesIndividual) {
     EXPECT_EQ(batch[i]->throughput_class, single->throughput_class);
     EXPECT_EQ(batch[i]->tier, single->tier);
   }
-}
-
-// ---------- seq2seq artifacts ----------
-
-nn::Seq2SeqConfig small_s2s() {
-  nn::Seq2SeqConfig cfg;
-  cfg.input_dim = 2;
-  cfg.hidden = 8;
-  cfg.layers = 2;
-  cfg.seq_len = 6;
-  cfg.out_len = 3;
-  cfg.epochs = 3;
-  cfg.batch_size = 8;
-  cfg.seed = 7;
-  return cfg;
-}
-
-/// A small fitted Seq2Seq on synthetic sinusoid sequences, shared.
-const nn::Seq2Seq& s2s() {
-  static const nn::Seq2Seq* m = [] {
-    const nn::Seq2SeqConfig cfg = small_s2s();
-    auto* net = new nn::Seq2Seq(cfg);
-    std::vector<nn::SeqSample> samples;
-    for (std::size_t i = 0; i < 32; ++i) {
-      nn::SeqSample s;
-      for (std::size_t t = 0; t < cfg.seq_len; ++t) {
-        const double ph = 0.31 * static_cast<double>(i + t);
-        s.x.push_back(std::sin(ph));
-        s.x.push_back(std::cos(0.5 * ph));
-      }
-      for (std::size_t k = 0; k < cfg.out_len; ++k) {
-        s.y.push_back(
-            std::sin(0.31 * static_cast<double>(i + cfg.seq_len + k)));
-      }
-      samples.push_back(std::move(s));
-    }
-    net->fit(samples);
-    return net;
-  }();
-  return *m;
-}
-
-std::vector<std::vector<double>> s2s_windows() {
-  const nn::Seq2SeqConfig cfg = small_s2s();
-  std::vector<std::vector<double>> windows;
-  for (std::size_t i = 0; i < 8; ++i) {
-    std::vector<double> w;
-    for (std::size_t t = 0; t < cfg.seq_len; ++t) {
-      const double ph = 0.11 * static_cast<double>(3 * i + t);
-      w.push_back(std::sin(ph));
-      w.push_back(std::cos(0.5 * ph));
-    }
-    windows.push_back(std::move(w));
-  }
-  return windows;
-}
-
-TEST(ModelIo, Seq2SeqSaveDeterministicAndPeekable) {
-  const std::string a = save_bytes(s2s());
-  const std::string b = save_bytes(s2s());
-  EXPECT_EQ(a, b);
-  const auto kind = peek_kind(a);
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, ModelKind::kSeq2Seq);
-}
-
-TEST(ModelIo, Seq2SeqRoundTripBitIdentical) {
-  const auto loaded = load_seq2seq(save_bytes(s2s()));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->config().hidden, s2s().config().hidden);
-  for (const auto& w : s2s_windows()) {
-    const auto ya = s2s().predict(w);
-    const auto yb = loaded->predict(w);
-    ASSERT_EQ(ya.size(), yb.size());
-    for (std::size_t k = 0; k < ya.size(); ++k) {
-      ASSERT_EQ(bits(ya[k]), bits(yb[k])) << "step " << k;
-    }
-  }
-}
-
-TEST(ModelIo, Seq2SeqEveryTruncationIsTypedTruncated) {
-  const std::string full = save_bytes(s2s());
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n < 32 && n < full.size(); ++n) lengths.push_back(n);
-  const std::size_t stride = std::max<std::size_t>(1, full.size() / 64);
-  for (std::size_t n = 32; n < full.size(); n += stride) lengths.push_back(n);
-  lengths.push_back(full.size() - 1);
-  for (const std::size_t n : lengths) {
-    const auto r = load_seq2seq(full.substr(0, n));
-    ASSERT_FALSE(r.has_value()) << "prefix length " << n;
-    EXPECT_EQ(r.error().code, ErrorCode::kTruncated) << "prefix length " << n;
-  }
-}
-
-TEST(ModelIo, Seq2SeqBitFlipsAreTypedNeverUb) {
-  const std::string full = save_bytes(s2s());
-  const std::size_t stride = std::max<std::size_t>(1, full.size() / 96);
-  for (std::size_t pos = 0; pos < full.size(); pos += stride) {
-    for (const int bit : {0, 7}) {
-      std::string damaged = full;
-      damaged[pos] = static_cast<char>(
-          static_cast<unsigned char>(damaged[pos]) ^ (1u << bit));
-      const auto r = load_seq2seq(damaged);
-      ASSERT_FALSE(r.has_value()) << "byte " << pos << " bit " << bit;
-      const auto code = r.error().code;
-      EXPECT_TRUE(code == ErrorCode::kBadMagic ||
-                  code == ErrorCode::kVersionMismatch ||
-                  code == ErrorCode::kTruncated ||
-                  code == ErrorCode::kCorrupt || code == ErrorCode::kParseError)
-          << "byte " << pos << " bit " << bit << " -> " << to_string(code);
-    }
-  }
-}
-
-TEST(ModelIo, Seq2SeqWrongKindRejected) {
-  const auto as_gbdt = load_gbdt_regressor(save_bytes(s2s()));
-  ASSERT_FALSE(as_gbdt.has_value());
-  EXPECT_EQ(as_gbdt.error().code, ErrorCode::kParseError);
-  const auto as_s2s = load_seq2seq(save_bytes(gbdt_reg()));
-  ASSERT_FALSE(as_s2s.has_value());
-  EXPECT_EQ(as_s2s.error().code, ErrorCode::kParseError);
 }
 
 // ---------- write_artifact hygiene ----------
@@ -601,8 +558,7 @@ std::size_t count_temp_files(const std::filesystem::path& path) {
 }
 
 TEST(ModelIo, WriteArtifactCleansTempOnRenameFailure) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lumos_test_serve_write_hygiene";
+  const auto dir = private_temp("lumos_test_serve_write_hygiene");
   std::filesystem::create_directories(dir / "occupied");
   // The destination is an existing directory: the temp write succeeds but
   // the rename over a directory cannot, so the error path must run and
@@ -615,12 +571,11 @@ TEST(ModelIo, WriteArtifactCleansTempOnRenameFailure) {
 }
 
 TEST(ModelIo, RacingWritersProduceWholeArtifacts) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lumos_test_serve_write_race";
+  const auto dir = private_temp("lumos_test_serve_write_race");
   std::filesystem::create_directories(dir);
   const auto path = dir / "model.l5gm";
-  const std::string a = save_bytes(gbdt_reg());
-  const std::string b = save_bytes(rf_reg());
+  const std::string a = save_bytes(facade());
+  const std::string& b = small_artifact();
   ASSERT_NE(a, b);
 
   // Two pool threads race full write->rename cycles at the same

@@ -1,19 +1,17 @@
-// Sharded serving + SIMD columnar walk suite (DESIGN §12).
+// Sharded serving suite (DESIGN §12).
 //
 // Bit-identity contracts under test:
 //   * FlatForest::predict_columnar at batch sizes that are NOT multiples
-//     of the 64-row block (1, 63, 65, 127) matches per-row predict()
-//     bitwise, with the vector kernel forced off and on;
+//     of the 64-row block (1, 63, 65, 127) matches the pointer-tree
+//     predict() bitwise;
 //   * a Server with 8 shards answers the same response stream, bit for
 //     bit, as a Server with 1 shard — including when every request lands
 //     on one shard (the other seven stay empty all run);
 //   * more shards than pool threads still drains every admitted ticket,
-//     at any LUMOS_GRAIN floor;
-//   * the allocation-free KNN/kriging columnar scans match their
-//     row-major predict() twins bitwise.
+//     at any LUMOS_GRAIN floor.
 //
-// Every assertion must hold at any LUMOS_THREADS and with LUMOS_SIMD=off
-// (the suite runs under those pins from CMake).
+// Every assertion must hold at any LUMOS_THREADS (the suite runs under
+// those pins from CMake).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,13 +20,10 @@
 
 #include "common/clock.h"
 #include "common/parallel.h"
-#include "common/simd.h"
 #include "core/lumos5g.h"
 #include "data/column_store.h"
 #include "data/features.h"
 #include "ml/gbdt.h"
-#include "ml/knn.h"
-#include "ml/kriging.h"
 #include "serve/flat_model.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
@@ -116,48 +111,23 @@ void expect_same_response(const Response& a, const Response& b) {
   EXPECT_EQ(a.result->tier, b.result->tier);
 }
 
-// ---------- columnar walk: tail sizes, scalar vs SIMD ----------
+// ---------- columnar walk: tail sizes ----------
 
-// Batch sizes straddling the 64-row block and the vector width: 1 (pure
-// tail), 63 (one short block), 65 (full block + 1-row tail), 127 (block +
-// 63 tail). Each must match per-row predict() bitwise with the vector
-// kernel forced off and (where the build has one) on.
-TEST(ShardSimd, ColumnarMatchesRowPredictAtTailSizes) {
+// Batch sizes straddling the 64-row block: 1 (pure tail), 63 (one short
+// block), 65 (full block + 1-row tail), 127 (block + 63 tail). Each must
+// match the pointer tree's per-row predict() bitwise.
+TEST(ShardWalk, ColumnarMatchesRowPredictAtTailSizes) {
   const FlatForest flat = FlatForest::flatten(gbdt());
   const data::ColumnStore cols = data::ColumnStore::from_matrix(built().x);
-  const bool was_enabled = simd::enabled();
-  for (const bool use_simd : {false, true}) {
-    simd::set_enabled(use_simd);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{63},
-                                std::size_t{65}, std::size_t{127}}) {
-      ASSERT_LE(n, built().x.rows());
-      std::vector<double> out(n);
-      flat.predict_columnar(cols.block(0, n), out);
-      for (std::size_t r = 0; r < n; ++r) {
-        EXPECT_EQ(bits(out[r]), bits(flat.predict(built().x.row(r))))
-            << "row " << r << " of " << n << " simd=" << use_simd;
-      }
+  for (const std::size_t n : {std::size_t{1}, std::size_t{63},
+                              std::size_t{65}, std::size_t{127}}) {
+    ASSERT_LE(n, built().x.rows());
+    std::vector<double> out(n);
+    flat.predict_columnar(cols.block(0, n), out);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(bits(out[r]), bits(gbdt().predict(built().x.row(r))))
+          << "row " << r << " of " << n;
     }
-  }
-  simd::set_enabled(was_enabled);
-}
-
-// The two kernels against each other over a larger slab, so a divergence
-// anywhere in the block interior (not just the tails) would surface.
-TEST(ShardSimd, ScalarAndVectorWalksBitIdentical) {
-  const FlatForest flat = FlatForest::flatten(gbdt());
-  const std::size_t n = std::min<std::size_t>(1000, built().x.rows());
-  const data::ColumnStore cols = data::ColumnStore::from_matrix(built().x);
-  const bool was_enabled = simd::enabled();
-  std::vector<double> scalar_out(n);
-  simd::set_enabled(false);
-  flat.predict_columnar(cols.block(0, n), scalar_out);
-  std::vector<double> simd_out(n);
-  simd::set_enabled(true);
-  flat.predict_columnar(cols.block(0, n), simd_out);
-  simd::set_enabled(was_enabled);
-  for (std::size_t r = 0; r < n; ++r) {
-    EXPECT_EQ(bits(scalar_out[r]), bits(simd_out[r])) << "row " << r;
   }
 }
 
@@ -252,53 +222,6 @@ TEST(ShardServer, MoreShardsThanThreadsDrains) {
   }
   set_grain_floor(0);
   ThreadPool::global().set_threads(0);
-}
-
-// ---------- KNN / kriging columnar scans ----------
-
-TEST(ShardScan, KnnRegressorScanMatchesPredictBitwise) {
-  ml::KnnConfig cfg;
-  cfg.k = 7;
-  cfg.max_train = 2000;
-  ml::KnnRegressor knn(cfg);
-  knn.fit(built().x, built().y_reg);
-  ml::KnnScratch scratch;
-  scratch.reserve(knn.rows(), knn.cols(), knn.k());
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = built().x.row(r);
-    EXPECT_EQ(bits(knn.predict(row)), bits(knn.predict_scan(row, scratch)))
-        << "row " << r;
-  }
-}
-
-TEST(ShardScan, KnnClassifierScanMatchesPredictBitwise) {
-  ml::KnnConfig cfg;
-  cfg.k = 7;
-  cfg.max_train = 2000;
-  ml::KnnClassifier knn(cfg);
-  knn.fit(built().x, built().y_cls, data::kNumThroughputClasses);
-  ml::KnnScratch scratch;
-  scratch.reserve(knn.rows(), knn.cols(), knn.k(),
-                  data::kNumThroughputClasses);
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = built().x.row(r);
-    EXPECT_EQ(knn.predict(row), knn.predict_scan(row, scratch)) << "row " << r;
-  }
-}
-
-TEST(ShardScan, KrigingScanMatchesPredictBitwise) {
-  const auto loc = data::build_features(
-      airport_ds(), data::FeatureSetSpec::parse("L"), {});
-  ml::OrdinaryKriging ok;
-  ok.fit(loc.x, loc.y_reg);
-  ASSERT_GT(ok.support(), 0u);
-  ml::KrigingScratch scratch;
-  scratch.reserve(ok.support());
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = loc.x.row(r);
-    EXPECT_EQ(bits(ok.predict(row)), bits(ok.predict_scan(row, scratch)))
-        << "row " << r;
-  }
 }
 
 }  // namespace

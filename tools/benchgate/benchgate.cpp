@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
   std::string baseline;
   std::string filter = "BM_ServerThroughput|BM_ServerSessions|"
                        "BM_FlatVsPointerPredict|BM_ServePredictBatch|"
-                       "BM_HistogramBuild|BM_ColumnarVsRowPredict|"
-                       "BM_ColumnarWalkSimd";
+                       "BM_HistogramBuild|BM_ColumnarVsRowPredict";
   double threshold = 2.0;
   if (const char* env = std::getenv("LUMOS_BENCHGATE_FACTOR")) {
     const double f = std::atof(env);

@@ -95,26 +95,32 @@ struct Registry {
   /// base short -> derived shorts (one level; closed over in related())
   std::map<std::string, std::set<std::string>> derived;
 
-  /// {T} ∪ bases*(T) ∪ derived*(T) — the virtual-dispatch set.
+  /// {T} ∪ bases*(T) ∪ derived*(T) — the virtual-dispatch set. A call
+  /// on static type T binds to T's own or inherited methods or to an
+  /// override below T, never to a sibling that merely shares a base, so
+  /// the two closures are walked separately.
   std::set<std::string> related(const std::string& t) const {
     std::set<std::string> out{t};
-    std::vector<std::string> work{t};
-    while (!work.empty()) {
-      const std::string cur = work.back();
-      work.pop_back();
+    std::vector<std::string> up{t};
+    while (!up.empty()) {
+      const std::string cur = up.back();
+      up.pop_back();
       const auto ci = class_by_short.find(cur);
-      if (ci != class_by_short.end()) {
-        for (const ClassDef* cd : ci->second) {
-          for (const std::string& b : cd->bases) {
-            if (out.insert(b).second) work.push_back(b);
-          }
+      if (ci == class_by_short.end()) continue;
+      for (const ClassDef* cd : ci->second) {
+        for (const std::string& b : cd->bases) {
+          if (out.insert(b).second) up.push_back(b);
         }
       }
+    }
+    std::vector<std::string> down{t};
+    while (!down.empty()) {
+      const std::string cur = down.back();
+      down.pop_back();
       const auto di = derived.find(cur);
-      if (di != derived.end()) {
-        for (const std::string& d : di->second) {
-          if (out.insert(d).second) work.push_back(d);
-        }
+      if (di == derived.end()) continue;
+      for (const std::string& d : di->second) {
+        if (out.insert(d).second) down.push_back(d);
       }
     }
     return out;

@@ -21,7 +21,8 @@
 //      `Type var` declarations, the enclosing class's member hints, then
 //      the union of every class's same-named member hint; subsequent
 //      elements walk member hints forward. The final type's methods plus
-//      those of its base/derived closure (virtual dispatch) match;
+//      those of its base closure and its derived closure (virtual
+//      dispatch; never a sibling sharing a base) match;
 //      an unresolvable receiver contributes NO edge (precision over
 //      recall — binding `x.predict(` to every predict in the repo would
 //      drown the analysis in false paths);

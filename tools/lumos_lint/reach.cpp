@@ -43,29 +43,21 @@ std::string hop(const Node& n) {
 
 const AnalysisConfig& default_analysis() {
   static const AnalysisConfig kCfg = {
-      // The serving entry points. step()/predict_batch()/predict_windows()
-      // are convenience wrappers that allocate their output containers and
-      // immediately delegate here; the span-based entry points are what a
-      // latency-critical caller uses, and what the proof covers.
+      // The serving entry points: the server's admission and poll, the
+      // batched columnar walk poll runs, the per-window reference walk,
+      // and the one flattened tree kernel beneath both.
       {
           "serve::Server::submit",
           "serve::Server::poll",
           "serve::Server::poll_shard",
           "serve::Predictor::predict",
-          "serve::Predictor::predict_spans",
           "serve::Predictor::predict_spans_columnar",
           "serve::FlatForest::predict",
           "serve::FlatForest::predict_columnar",
           "serve::FlatForest::eval_block",
-          "serve::FlatForest::eval_block_scalar",
-          "serve::FlatForest::eval_block_simd",
           "serve::FlatClassifier::predict",
           "serve::FlatClassifier::predict_columnar",
           "core::Lumos5G::predict",
-          "ml::KnnRegressor::predict_scan",
-          "ml::KnnClassifier::predict_scan",
-          "ml::OrdinaryKriging::predict_scan",
-          "ml::LuSolver::solve_into",
       },
       {
           {"src/common/clock.",

@@ -202,6 +202,15 @@ FileSymbols extract_symbols(const std::string& path, const LexedFile& lexed) {
       decl.push_back(i++);
       continue;
     }
+    // An access label (`private:`) is not part of the next declaration:
+    // left in, it would hide a nested class declared right after it.
+    if (i + 1 < n && is_p(i + 1, ":") &&
+        (is_id(i, "public") || is_id(i, "protected") ||
+         is_id(i, "private"))) {
+      decl.clear();
+      i += 2;
+      continue;
+    }
     if (is_p(i, ";")) {
       record_member();
       decl.clear();
