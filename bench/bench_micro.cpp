@@ -600,10 +600,11 @@ BENCHMARK(BM_ServerSessions)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
-// The stall a hot reload inserts between serving steps: full envelope
-// validation + payload parse + tier compile + atomic swap of a T+M+C
-// facade artifact already in memory (the disk read is BM-irrelevant and
-// retried I/O is a policy knob, not a hot path).
+// The stall a hot reload inserts between serving steps: the word-at-a-time
+// envelope hash, load_predictor's parse straight into flat tiers (no
+// pointer trees, no compile step) and the swap, for a T+M+C facade
+// artifact already in memory (the disk read is BM-irrelevant and retried
+// I/O is a policy knob, not a hot path).
 void BM_ServerReloadStall(benchmark::State& state) {
   static const std::string* bytes =
       new std::string(serve::save_bytes(serve_facade()));

@@ -1,13 +1,14 @@
 // Serving quickstart: the paper's consumer story (§2.3, Fig. 4) end to
 // end — train a per-area predictor once, save it as a binary artifact,
-// reload it (as a freshly deployed device would), compile it into the
+// load it (as a freshly deployed device would) straight into the
 // flattened serving runtime, and answer a fleet of per-UE sessions.
 //
 //   1. Train core::Lumos5G with the T+M+C fallback chain on a simulated
 //      airport campaign.
 //   2. serve::save_model -> one versioned .l5gm artifact on disk.
-//   3. serve::load_lumos5g + serve::Predictor::compile -> flattened
-//      serving snapshot (16-byte nodes, iterative traversal).
+//   3. serve::load_predictor -> flattened serving snapshot (16-byte
+//      nodes, iterative traversal), parsed without building the
+//      training-side pointer trees.
 //   4. Feed per-UE Sessions and answer them in one predict_spans_columnar
 //      batch over the thread pool, verifying the reloaded runtime matches
 //      the trainer bit for bit.
@@ -54,23 +55,18 @@ int main() {
   std::printf("saved artifact: %s (%ju bytes)\n", path.c_str(),
               static_cast<std::uintmax_t>(std::filesystem::file_size(path)));
 
-  // 3. Reload and compile, as a serving process would at startup.
+  // 3. Load the serving snapshot, as a serving process would at startup.
   const auto bytes = serve::read_artifact(path);
   if (!bytes) {
     std::printf("read failed: %s\n", bytes.error().describe().c_str());
     return 1;
   }
-  const auto reloaded = serve::load_lumos5g(*bytes);
-  if (!reloaded) {
-    std::printf("load failed: %s\n", reloaded.error().describe().c_str());
-    return 1;
-  }
-  const auto predictor = serve::Predictor::compile(*reloaded);
+  const auto predictor = serve::load_predictor(*bytes);
   if (!predictor) {
-    std::printf("compile failed: %s\n", predictor.error().describe().c_str());
+    std::printf("load failed: %s\n", predictor.error().describe().c_str());
     return 1;
   }
-  std::printf("compiled serving snapshot: %zu flat nodes (%zu KiB)\n",
+  std::printf("loaded serving snapshot: %zu flat nodes (%zu KiB)\n",
               predictor->n_nodes(), predictor->n_nodes() * 16 / 1024);
 
   // 4. Serve a small fleet: one Session per replayed UE.

@@ -4,12 +4,10 @@
 #include <cmath>
 
 namespace lumos::core {
-namespace {
 
-/// Derives the fallback chain from the primary spec: drop T first (adding
-/// L so a location signal survives — panel geometry is the input most
-/// often unavailable), then drop C (lag features need an uninterrupted
-/// history and are the most fragile at query time).
+/// Drops T first (adding L so a location signal survives — panel geometry
+/// is the input most often unavailable), then drops C (lag features need
+/// an uninterrupted history and are the most fragile at query time).
 std::vector<data::FeatureSetSpec> derive_tiers(
     const data::FeatureSetSpec& primary, const FallbackConfig& fb) {
   std::vector<data::FeatureSetSpec> chain{primary};
@@ -37,8 +35,6 @@ std::vector<data::FeatureSetSpec> derive_tiers(
   }
   return chain;
 }
-
-}  // namespace
 
 Lumos5G::Lumos5G(Lumos5GConfig cfg)
     : cfg_(std::move(cfg)),

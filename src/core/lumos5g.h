@@ -49,6 +49,13 @@ struct Lumos5GConfig {
   FallbackConfig fallback{};
 };
 
+/// The fallback tier chain a config derives, most capable first (tier 0
+/// is always `primary`): drop T, adding L, then drop C — or the explicit
+/// FallbackConfig::tiers. Lumos5G builds its chain with it, and the
+/// artifact loaders re-derive it to check a stored tier count.
+[[nodiscard]] std::vector<data::FeatureSetSpec> derive_tiers(
+    const data::FeatureSetSpec& primary, const FallbackConfig& fb);
+
 /// Prediction made for one context window.
 struct Prediction {
   double throughput_mbps = 0.0;

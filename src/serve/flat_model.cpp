@@ -9,9 +9,11 @@ namespace lumos::serve {
 namespace {
 
 /// Appends one tree to `out` in adjacent-children order and returns its
-/// root index. Works for any source node ordering (freshly fit or
-/// deserialized): an explicit worklist rewrites parent→child links as the
-/// pair slots are allocated.
+/// root index. Works for any source node ordering: an explicit worklist
+/// rewrites parent→child links as the pair slots are allocated. For a
+/// tree whose children already sit in adjacent pairs in LIFO order — what
+/// GradientTree::fit builds — the worklist visits nodes in stored order,
+/// so node i lands at root + i (the artifact loader's one linear copy).
 std::uint32_t flatten_tree(const ml::GradientTree& tree,
                            std::vector<FlatNode>& out) {
   const auto& src = tree.nodes();
@@ -32,25 +34,18 @@ std::uint32_t flatten_tree(const ml::GradientTree& tree,
     const Pending p = stack.back();
     stack.pop_back();
     const auto& n = src[p.src_index];
-    FlatNode flat;
     if (n.feature < 0) {
-      flat.value = n.value;
-      flat.feature = -1;
-      flat.left = 0;
-    } else {
-      const auto left_dst = static_cast<std::uint32_t>(out.size());
-      LUMOS_ASSERT(left_dst < FlatNode::kChildMask - 1,
-                   "flattened ensemble exceeds 2^31 nodes");
-      flat.value = n.threshold;
-      flat.feature = n.feature;
-      flat.left = left_dst |
-                  (n.default_left ? FlatNode::kDefaultLeftBit : 0U);
-      out.push_back(FlatNode{});
-      out.push_back(FlatNode{});
-      stack.push_back({static_cast<std::size_t>(n.left), left_dst});
-      stack.push_back({static_cast<std::size_t>(n.right), left_dst + 1});
+      out[p.dst_index] = FlatNode::from(n, 0);
+      continue;
     }
-    out[p.dst_index] = flat;
+    const auto left_dst = static_cast<std::uint32_t>(out.size());
+    LUMOS_ASSERT(left_dst < FlatNode::kChildMask - 1,
+                 "flattened ensemble exceeds 2^31 nodes");
+    out[p.dst_index] = FlatNode::from(n, left_dst);
+    out.push_back(FlatNode{});
+    out.push_back(FlatNode{});
+    stack.push_back({static_cast<std::size_t>(n.left), left_dst});
+    stack.push_back({static_cast<std::size_t>(n.right), left_dst + 1});
   }
   return root;
 }
@@ -141,13 +136,9 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
   FlatClassifier c;
   const int kc = model.n_classes();
   if (kc <= 0) return c;
-  // decision_function folds stages per class as
-  //   score[c] = base[c] + lr_scale * tree(stage 0, c) + ... ,
-  // which is exactly one FlatForest per class over the interleaved
-  // [stage * kc + c] tree layout.
-  const double lr_scale = model.config().learning_rate *
-                          static_cast<double>(kc - 1) /
-                          static_cast<double>(kc);
+  // One FlatForest per class over the interleaved [stage * kc + c] tree
+  // layout, each folding its stages with class_scale.
+  const double lr_scale = class_scale(model.config().learning_rate, kc);
   c.per_class_.reserve(static_cast<std::size_t>(kc));
   for (int cls = 0; cls < kc; ++cls) {
     c.per_class_.push_back(FlatForest::flatten(

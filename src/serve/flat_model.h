@@ -12,17 +12,28 @@
 // the training-time predict() loops, so a FlatForest/FlatClassifier is
 // bit-identical to the pointer-layout model it was built from (enforced by
 // tests/test_serve.cpp).
+//
+// Two builders exist, and only two: flatten() from fitted pointer trees
+// (Predictor::compile), and the artifact loader (serve::load_predictor),
+// which parses node records straight into these arrays after checking
+// each one. Both reach the node arrays through private constructors, so
+// no unvalidated node array can reach the walk.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "data/column_store.h"
 #include "ml/gbdt.h"
 #include "ml/tree.h"
 
 namespace lumos::serve {
+
+class Predictor;  // named by the load_predictor friend declarations below
 
 /// Rows evaluated together by the columnar block kernel: a block's
 /// per-row cursors and accumulators live in fixed stack arrays, and each
@@ -43,6 +54,15 @@ struct FlatNode {
 
   static constexpr std::uint32_t kDefaultLeftBit = 0x80000000U;
   static constexpr std::uint32_t kChildMask = 0x7FFFFFFFU;
+
+  /// The flat form of a training-time node whose left child sits at flat
+  /// index `left` (ignored for a leaf). `left` must fit kChildMask.
+  static FlatNode from(const ml::GradientTree::Node& n,
+                       std::uint32_t left) noexcept {
+    if (n.feature < 0) return FlatNode{n.value, -1, 0};
+    return FlatNode{n.threshold, n.feature,
+                    left | (n.default_left ? kDefaultLeftBit : 0U)};
+  }
 };
 
 static_assert(sizeof(FlatNode) == 16, "FlatNode must stay 16 bytes");
@@ -87,6 +107,17 @@ class FlatForest {
 
  private:
   friend class FlatClassifier;
+  friend Expected<Predictor> load_predictor(std::string_view bytes);
+
+  /// Takes node arrays their builder has already checked: every split's
+  /// feature is below the serving row's width and its children are
+  /// forward, adjacent and inside `nodes`; every root is inside `nodes`.
+  FlatForest(std::vector<FlatNode> nodes, std::vector<std::uint32_t> roots,
+             double base, double scale) noexcept
+      : nodes_(std::move(nodes)),
+        roots_(std::move(roots)),
+        base_(base),
+        scale_(scale) {}
 
   /// The one flattened tree walk: evaluates rows [row0, row0 + m) of
   /// `block` into acc[0..m), m <= kColumnarRowBlock, level-synchronously
@@ -125,7 +156,19 @@ class FlatClassifier {
   int n_classes() const noexcept { return static_cast<int>(per_class_.size()); }
   std::size_t n_nodes() const noexcept;
 
+  /// Every class forest's per-tree scale: GbdtClassifier folds stages as
+  /// base[c] + learning_rate * (k - 1) / k * tree(stage, c).
+  static double class_scale(double learning_rate, int n_classes) noexcept {
+    return learning_rate * static_cast<double>(n_classes - 1) /
+           static_cast<double>(n_classes);
+  }
+
  private:
+  friend Expected<Predictor> load_predictor(std::string_view bytes);
+
+  explicit FlatClassifier(std::vector<FlatForest> per_class) noexcept
+      : per_class_(std::move(per_class)) {}
+
   std::vector<FlatForest> per_class_;
 };
 

@@ -9,22 +9,30 @@
 
 namespace lumos::serve {
 
+Predictor::Predictor(data::FeatureConfig features,
+                     core::FallbackConfig fallback,
+                     std::vector<data::FeatureSetSpec> specs)
+    : features_(std::move(features)),
+      fallback_(std::move(fallback)),
+      specs_(std::move(specs)),
+      tiers_(specs_.size()) {
+  tier_names_.reserve(specs_.size());
+  tier_widths_.reserve(specs_.size());
+  for (const data::FeatureSetSpec& spec : specs_) {
+    tier_names_.push_back(spec.name());
+    tier_widths_.push_back(data::feature_width(spec, features_));
+    max_width_ = std::max(max_width_, tier_widths_.back());
+  }
+}
+
 Expected<Predictor> Predictor::compile(const core::Lumos5G& model) {
   if (!model.trained()) {
     return Error{ErrorCode::kNotTrained,
                  "Predictor::compile: facade has no trained tier"};
   }
-  Predictor p;
-  p.features_ = model.config().features;
-  p.fallback_ = model.config().fallback;
-  p.specs_ = model.tier_specs();
-  p.tiers_.resize(p.specs_.size());
-  p.tier_names_.reserve(p.specs_.size());
-  p.tier_widths_.reserve(p.specs_.size());
+  Predictor p(model.config().features, model.config().fallback,
+              model.tier_specs());
   for (std::size_t i = 0; i < p.specs_.size(); ++i) {
-    p.tier_names_.push_back(p.specs_[i].name());
-    p.tier_widths_.push_back(data::feature_width(p.specs_[i], p.features_));
-    p.max_width_ = std::max(p.max_width_, p.tier_widths_.back());
     if (!model.tier_trained(i)) continue;
     p.tiers_[i].regressor = FlatForest::flatten(model.tier_regressor(i));
     p.tiers_[i].classifier = FlatClassifier::flatten(model.tier_classifier(i));

@@ -1,6 +1,8 @@
-// The low-latency serving runtime over a trained (or reloaded)
-// core::Lumos5G facade. Compilation flattens every tier's GBDT pair into
-// contiguous FlatForest/FlatClassifier layouts; queries then walk the same
+// The low-latency serving runtime over a trained core::Lumos5G facade or
+// its artifact. Predictor::compile flattens every tier's GBDT pair into
+// contiguous FlatForest/FlatClassifier layouts, and serve::load_predictor
+// (serve/model_io.h) parses an artifact straight into the same layouts
+// without building the facade's pointer trees; queries then walk the same
 // fallback chain as the facade — first trained tier whose features the
 // window can produce answers, harmonic tail last — and return predictions
 // bit-identical to Lumos5G::predict (enforced by tests/test_serve.cpp).
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -98,7 +101,8 @@ class PredictScratch {
 class Predictor {
  public:
   /// Builds the flattened serving snapshot of a trained facade. Errors
-  /// with kNotTrained when no tier is trained (nothing to serve).
+  /// with kNotTrained when no tier is trained (nothing to serve). An
+  /// artifact loads into the same snapshot via serve::load_predictor.
   [[nodiscard]] static Expected<Predictor> compile(
       const core::Lumos5G& model);
 
@@ -157,13 +161,18 @@ class Predictor {
   std::size_t max_width() const noexcept { return max_width_; }
 
  private:
+  friend Expected<Predictor> load_predictor(std::string_view bytes);
+
   struct FlatTier {
     FlatForest regressor;
     FlatClassifier classifier;
     bool compiled = false;
   };
 
-  Predictor() = default;
+  /// The tier-chain setup compile() and load_predictor() share: every
+  /// tier's name and feature-row width, and the widest; no tier compiled.
+  Predictor(data::FeatureConfig features, core::FallbackConfig fallback,
+            std::vector<data::FeatureSetSpec> specs);
 
   /// The post-tier fallback shared by predict() and the columnar walk:
   /// harmonic mean of recent positive throughputs when enabled, else the

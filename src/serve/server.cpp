@@ -437,35 +437,31 @@ std::vector<Response> Server::drain() {
 
 Expected<void> Server::reload_bytes(std::string_view bytes) {
   ++stats_.reload_attempts;
-  // Validate fully on the side: envelope hash, payload parse, tier-chain
-  // compile. The serving predictor_ is untouched until the very last move,
-  // so a request between steps can never observe a half-loaded model.
-  auto model = load_lumos5g(bytes);
-  if (!model) {
+  // Validate fully on the side: envelope hash, then a parse straight into
+  // flat tiers. The serving predictor_ is untouched until the very last
+  // move, so a request between steps can never observe a half-loaded
+  // model.
+  auto loaded = load_predictor(bytes);
+  if (!loaded) {
     ++stats_.reloads_failed;
-    return Error{model.error().code,
+    return Error{loaded.error().code,
                  "reload rolled back (still serving generation " +
                      std::to_string(generation_) + "): " +
-                     model.error().message};
+                     loaded.error().message};
   }
-  auto compiled = Predictor::compile(*model);
-  if (!compiled) {
-    ++stats_.reloads_failed;
-    return Error{compiled.error().code,
-                 "reload rolled back (still serving generation " +
-                     std::to_string(generation_) + "): " +
-                     compiled.error().message};
-  }
-  if (compiled->tier_specs().size() != predictor_.tier_specs().size()) {
+  if (loaded->tier_specs().size() != predictor_.tier_specs().size()) {
     // A different tier chain re-shapes the per-tier stats; keep the
     // counters coherent across the swap.
-    stats_.served_by_tier.assign(compiled->tier_specs().size() + 1, 0);
+    stats_.served_by_tier.assign(loaded->tier_specs().size() + 1, 0);
   }
-  predictor_ = std::move(*compiled);
-  // The new model's widest tier may differ; re-reserve every shard's
-  // columnar scratch here (cold path) so poll() stays allocation-free.
+  predictor_ = std::move(*loaded);
+  // Only a wider model outgrows the columnar scratch; re-reserve it then
+  // (cold path) so poll() stays allocation-free.
   for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].scratch_.reserve(cfg_.max_batch, predictor_.max_width());
+    PredictScratch& scratch = shards_[s].scratch_;
+    if (predictor_.max_width() > scratch.max_width()) {
+      scratch.reserve(cfg_.max_batch, predictor_.max_width());
+    }
   }
   ++generation_;
   ++stats_.reloads_ok;

@@ -48,13 +48,17 @@
 //     cost grows with the number of sessions.
 //
 //   * Hot model reload with rollback. reload() fully validates the new
-//     artifact (envelope hash, payload parse, compile) on the side and
-//     atomically swaps the serving snapshot only on success. Transient
-//     kIoError is retried with bounded exponential backoff; validation
-//     failures (kCorrupt / kTruncated / kVersionMismatch / kBadMagic /
-//     kParseError) roll back immediately: the old model keeps serving and
-//     the error is reported to the operator. No request ever observes a
-//     partially-loaded model.
+//     artifact on the side — the envelope hash, then serve::load_predictor
+//     parsing each tier straight into flat node arrays (no pointer trees
+//     are built) — and swaps the serving snapshot in only on success; the
+//     columnar scratch is re-reserved only when the new model's widest
+//     tier outgrows it. The consumer thread does this work between
+//     polls, so a reload stalls serving for its duration (DESIGN §10).
+//     Transient kIoError is retried with bounded exponential backoff;
+//     validation failures (kCorrupt / kTruncated / kVersionMismatch /
+//     kBadMagic / kParseError / kNotTrained) roll back immediately: the
+//     old model keeps serving and the error is reported to the operator.
+//     No request ever observes a partially-loaded model.
 //
 // All time flows through an injected lumos::Clock, so tests and the chaos
 // soak drive a ManualClock (bit-reproducible runs, scripted clock jumps)
@@ -210,10 +214,11 @@ class Server {
 
   // --- hot reload (consumer side) ------------------------------------------
 
-  /// Reads, validates, compiles, and atomically swaps in the artifact at
-  /// `path`. kIoError retries with exponential backoff (clock.sleep_ms);
-  /// validation failures roll back immediately. On failure the previous
-  /// model keeps serving and model_generation() is unchanged.
+  /// Reads the artifact at `path`, loads it (serve::load_predictor), and
+  /// atomically swaps it in. kIoError retries with exponential backoff
+  /// (clock.sleep_ms); validation failures roll back immediately. On
+  /// failure the previous model keeps serving and model_generation() is
+  /// unchanged.
   [[nodiscard]] Expected<void> reload(const std::filesystem::path& path);
 
   /// Same swap semantics for an in-memory artifact (no retry loop — there
@@ -293,8 +298,8 @@ class Server {
     std::size_t n_windows_ = 0;
     std::size_t arena_used_ = 0;
     /// Columnar working set for predict_spans_columnar: reserved at
-    /// construction and after every successful reload (the new model may
-    /// be wider), never on the serving path.
+    /// construction and again by a reload whose model is wider, never on
+    /// the serving path.
     PredictScratch scratch_;
   };
 

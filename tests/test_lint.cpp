@@ -425,11 +425,8 @@ TEST(LumosLintReach, UnorderedAccumulateFixtureFires) {
   EXPECT_TRUE(fires(findings, "unordered-accumulate"));
 }
 
-TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
-  // The clean tree scan is only a proof if the roots actually exist and
-  // have bodies in the graph. Guard against silent rot: the real sources
-  // must yield nodes for every default root, and poll_shard must reach
-  // the tree kernel through the batched columnar walk.
+/// The call graph over the real src/ tree.
+lumos::lint::CallGraph real_callgraph() {
   namespace fs = std::filesystem;
   std::vector<SourceFile> sources;
   for (const auto& entry :
@@ -444,7 +441,26 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
         {fs::relative(entry.path(), LUMOS_SOURCE_ROOT).generic_string(),
          text.str()});
   }
-  const auto g = build_callgraph(sources);
+  return build_callgraph(sources);
+}
+
+/// Whether the graph has the edge `from -> to`.
+bool has_edge(const lumos::lint::CallGraph& g, std::size_t from,
+              std::size_t to) {
+  for (const auto& targets : g.nodes[from].out) {
+    for (const std::size_t t : targets) {
+      if (t == to) return true;
+    }
+  }
+  return false;
+}
+
+TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
+  // The clean tree scan is only a proof if the roots actually exist and
+  // have bodies in the graph. Guard against silent rot: the real sources
+  // must yield nodes for every default root, and poll_shard must reach
+  // the tree kernel through the batched columnar walk.
+  const auto g = real_callgraph();
   for (const std::string& root : lumos::lint::default_analysis().roots) {
     EXPECT_NE(g.find(root), static_cast<std::size_t>(-1))
         << "hot-path root " << root << " has no definition in src/";
@@ -462,11 +478,53 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
     const std::size_t to = g.find(chain[k + 1]);
     ASSERT_NE(from, static_cast<std::size_t>(-1)) << chain[k];
     ASSERT_NE(to, static_cast<std::size_t>(-1)) << chain[k + 1];
-    bool edge = false;
-    for (const auto& targets : g.nodes[from].out) {
-      for (std::size_t t : targets) edge |= (t == to);
+    EXPECT_TRUE(has_edge(g, from, to))
+        << chain[k] << " no longer reaches " << chain[k + 1];
+  }
+}
+
+TEST(LumosLintReach, ReloadPathBuildsNoPointerTrees) {
+  // Hot reload parses an artifact straight into flat node arrays. Nothing
+  // reachable from Server::reload_bytes may build the facade's pointer
+  // trees or flatten them — and the check is only meaningful while
+  // reload_bytes really calls the pointer-free loader.
+  const auto g = real_callgraph();
+  const std::size_t reload = g.find("serve::Server::reload_bytes");
+  const std::size_t loader = g.find("serve::load_predictor");
+  ASSERT_NE(reload, static_cast<std::size_t>(-1));
+  ASSERT_NE(loader, static_cast<std::size_t>(-1))
+      << "serve::load_predictor has no definition in src/";
+  EXPECT_TRUE(has_edge(g, reload, loader))
+      << "Server::reload_bytes no longer calls load_predictor";
+
+  std::vector<bool> seen(g.nodes.size(), false);
+  std::vector<std::size_t> todo{reload};
+  seen[reload] = true;
+  while (!todo.empty()) {
+    const std::size_t n = todo.back();
+    todo.pop_back();
+    for (const auto& targets : g.nodes[n].out) {
+      for (const std::size_t t : targets) {
+        if (!seen[t]) {
+          seen[t] = true;
+          todo.push_back(t);
+        }
+      }
     }
-    EXPECT_TRUE(edge) << chain[k] << " no longer reaches " << chain[k + 1];
+  }
+  for (const char* banned :
+       {"serve::load_lumos5g", "core::Lumos5G::restore_tier",
+        "ml::GradientTree::restore", "serve::FlatForest::flatten"}) {
+    // Overloads share a qualified name; check every definition, and that
+    // the name still has one (a rename must not empty the check).
+    std::size_t defs = 0;
+    for (std::size_t i = 0; i < g.nodes.size(); ++i) {
+      if (g.nodes[i].def.qual != banned) continue;
+      ++defs;
+      EXPECT_FALSE(seen[i]) << banned << " is reachable from "
+                            << "Server::reload_bytes";
+    }
+    EXPECT_GT(defs, 0u) << banned << " has no definition in src/";
   }
 }
 

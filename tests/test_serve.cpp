@@ -1,9 +1,10 @@
 // Tests for lumos::serve — the versioned binary artifact format
 // (deterministic saves, bit-exact round-trips, typed failure on truncated /
-// bit-flipped / wrong-version / wrong-kind / wrong-width artifacts), the
-// flattened inference layout (bit-identical to the pointer-layout models),
-// and the batched serving Predictor (bit-identical to the Lumos5G facade,
-// batch == individual).
+// bit-flipped / wrong-version / wrong-kind / wrong-width / non-adjacent
+// artifacts, the same code from both loaders), the flattened inference
+// layout (bit-identical to the pointer-layout models), and the batched
+// serving Predictor (bit-identical to the Lumos5G facade, batch ==
+// individual, loaded == compiled).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,7 +12,11 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -109,19 +114,55 @@ const std::string& small_artifact() {
   return bytes;
 }
 
-/// FNV-1a 64-bit, the artifact's envelope hash: lets a test rewrite a
-/// header field and still present a hash-valid artifact.
+/// An independent copy of the v2 envelope hash: word j of the hashed
+/// prefix (8 bytes, little-endian) goes to lane j % 4 through one
+/// multiply-rotate round, the zero-padded tail word to the next lane, and
+/// the lanes then fold into the prefix length. Lets a test rewrite a
+/// header field and still present a hash-valid artifact; `rehash(a) == a`
+/// pins the on-disk algorithm.
 std::string rehash(std::string bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
   const std::size_t hash_at = bytes.size() - 8;
-  for (std::size_t i = 0; i < hash_at; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
+  const auto word = [&bytes](std::size_t at, std::size_t n) {
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+    }
+    return w;
+  };
+  const auto round = [](std::uint64_t lane, std::uint64_t w) {
+    return std::rotl(lane + w * 0xC2B2AE3D27D4EB4FULL, 31) *
+           0x9E3779B185EBCA87ULL;
+  };
+  std::uint64_t lane[4] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL,
+                           0xA4093822299F31D0ULL, 0x082EFA98EC4E6C89ULL};
+  const std::size_t words = hash_at / 8;
+  for (std::size_t j = 0; j < words; ++j) {
+    lane[j % 4] = round(lane[j % 4], word(8 * j, 8));
   }
+  lane[words % 4] = round(lane[words % 4], word(8 * words, hash_at % 8));
+  std::uint64_t h = hash_at;
+  for (const std::uint64_t l : lane) h = round(h, l);
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[hash_at + i] = static_cast<char>((h >> (8 * i)) & 0xFFU);
   }
   return bytes;
+}
+
+/// The damage matrix runs every damaged input through both loaders:
+/// load_lumos5g and load_predictor must each reject it, with the same
+/// ErrorCode (anything else fails the calling test). Returns that code.
+std::optional<ErrorCode> rejected_as(std::string_view bytes) {
+  const auto facade = load_lumos5g(bytes);
+  const auto flat = load_predictor(bytes);
+  if (facade.has_value() || flat.has_value()) {
+    ADD_FAILURE() << "damaged input loaded: load_lumos5g "
+                  << facade.has_value() << ", load_predictor "
+                  << flat.has_value();
+    return std::nullopt;
+  }
+  EXPECT_EQ(facade.error().code, flat.error().code)
+      << facade.error().describe() << " | " << flat.error().describe();
+  return facade.error().code;
 }
 
 /// A temp path private to this process: ctest runs this binary's suite,
@@ -259,9 +300,8 @@ TEST(ModelIo, EveryTruncationIsTypedTruncated) {
   for (std::size_t n = 32; n < full.size(); n += stride) lengths.push_back(n);
   lengths.push_back(full.size() - 1);
   for (const std::size_t n : lengths) {
-    const auto r = load_lumos5g(full.substr(0, n));
-    ASSERT_FALSE(r.has_value()) << "prefix length " << n;
-    EXPECT_EQ(r.error().code, ErrorCode::kTruncated) << "prefix length " << n;
+    EXPECT_EQ(rejected_as(full.substr(0, n)), ErrorCode::kTruncated)
+        << "prefix length " << n;
   }
 }
 
@@ -273,9 +313,9 @@ TEST(ModelIo, BitFlipsAreTypedNeverUb) {
       std::string damaged = full;
       damaged[pos] = static_cast<char>(
           static_cast<unsigned char>(damaged[pos]) ^ (1u << bit));
-      const auto r = load_lumos5g(damaged);
-      ASSERT_FALSE(r.has_value()) << "byte " << pos << " bit " << bit;
-      const auto code = r.error().code;
+      const auto rejected = rejected_as(damaged);
+      ASSERT_TRUE(rejected.has_value()) << "byte " << pos << " bit " << bit;
+      const ErrorCode code = *rejected;
       EXPECT_TRUE(code == ErrorCode::kBadMagic ||
                   code == ErrorCode::kVersionMismatch ||
                   code == ErrorCode::kTruncated ||
@@ -288,20 +328,21 @@ TEST(ModelIo, BitFlipsAreTypedNeverUb) {
 TEST(ModelIo, WrongMagicRejected) {
   std::string bytes = small_artifact();
   bytes[0] = 'X';
-  const auto r = load_lumos5g(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kBadMagic);
+  EXPECT_EQ(rejected_as(bytes), ErrorCode::kBadMagic);
 }
 
 TEST(ModelIo, FutureVersionRejectedBeforeHashCheck) {
-  std::string bytes = small_artifact();
   // Patch the u32 version field at offset 4 to kFormatVersion + 1. The
   // hash no longer matches either, but version must win: the reader can't
-  // trust its own layout knowledge on a future format.
-  bytes[4] = static_cast<char>(kFormatVersion + 1);
-  const auto r = load_lumos5g(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kVersionMismatch);
+  // trust its own layout knowledge on a future format. The previous
+  // version fails the same way: v1 artifacts (FNV-1a envelope) are
+  // rejected, never parsed.
+  for (const std::uint32_t version : {kFormatVersion + 1, kFormatVersion - 1}) {
+    std::string bytes = small_artifact();
+    bytes[4] = static_cast<char>(version);
+    EXPECT_EQ(rejected_as(bytes), ErrorCode::kVersionMismatch)
+        << "version " << version;
+  }
 }
 
 // The kind byte (offset 8) of a valid artifact rewritten to each retired
@@ -312,26 +353,22 @@ TEST(ModelIo, WrongKindRejected) {
   for (const int tag : {0, 1, 2, 3, 5, 200}) {
     std::string bytes = small_artifact();
     bytes[8] = static_cast<char>(tag);
-    const auto r = load_lumos5g(rehash(std::move(bytes)));
-    ASSERT_FALSE(r.has_value()) << "tag " << tag;
-    EXPECT_EQ(r.error().code, ErrorCode::kParseError) << "tag " << tag;
+    EXPECT_EQ(rejected_as(rehash(std::move(bytes))), ErrorCode::kParseError)
+        << "tag " << tag;
   }
 }
 
 TEST(ModelIo, TrailingBytesRejected) {
   std::string bytes = small_artifact();
   bytes.push_back('\0');
-  const auto r = load_lumos5g(bytes);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
+  EXPECT_EQ(rejected_as(bytes), ErrorCode::kCorrupt);
 }
 
 TEST(ModelIo, EmptyAndTinyBuffersTruncated) {
   for (const std::string_view bytes : {std::string_view{}, std::string_view{"L"},
                                        std::string_view{"L5G"}}) {
-    const auto r = load_lumos5g(bytes);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kTruncated);
+    EXPECT_EQ(rejected_as(bytes), ErrorCode::kTruncated)
+        << "length " << bytes.size();
   }
 }
 
@@ -366,6 +403,37 @@ ml::GbdtClassifier wide_classifier(const ml::GbdtClassifier& base,
   return wide;
 }
 
+/// A hash-valid artifact both loaders reject with kParseError also rolls a
+/// live server back: the generation stays put and the old model (the
+/// small facade) still answers, bit for bit.
+void expect_parse_error_and_rollback(const std::string& bytes) {
+  EXPECT_EQ(rejected_as(bytes), ErrorCode::kParseError);
+
+  const core::Lumos5G& good = small_facade();
+  auto compiled = Predictor::compile(good);
+  ASSERT_TRUE(compiled.has_value());
+  ManualClock clock;
+  Server server(std::move(*compiled), ServerConfig{}, clock);
+  const auto reload = server.reload_bytes(bytes);
+  ASSERT_FALSE(reload.has_value());
+  EXPECT_EQ(reload.error().code, ErrorCode::kParseError);
+  EXPECT_EQ(server.model_generation(), 1u);
+
+  const auto windows = query_windows();
+  const auto& window = windows.front();
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    ASSERT_TRUE(server.submit({7, window[i], 0}).has_value());
+  }
+  const auto responses = server.drain();
+  ASSERT_EQ(responses.size(), window.size());
+  const auto expect = good.predict(window);
+  const auto& got = responses.back().result;
+  ASSERT_TRUE(expect.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(bits(got->throughput_mbps), bits(expect->throughput_mbps));
+  EXPECT_EQ(got->tier, expect->tier);
+}
+
 // A hash-valid artifact whose tier-0 model declares more features than the
 // tier's row holds must not load: serving would walk that split past the
 // end of the feature row. Reloading it into a live server rolls back.
@@ -383,34 +451,54 @@ TEST(ModelIo, TierWiderThanItsRowRejected) {
   wide_cls.restore_tier(0, good.tier_regressor(0),
                         wide_classifier(good.tier_classifier(0), width + 1));
   for (const core::Lumos5G* bad : {&wide_reg, &wide_cls}) {
-    const std::string bytes = save_bytes(*bad);
-    const auto r = load_lumos5g(bytes);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kParseError) << r.error().describe();
+    SCOPED_TRACE(bad == &wide_reg ? "wide regressor" : "wide classifier");
+    expect_parse_error_and_rollback(save_bytes(*bad));
+  }
+}
 
-    auto compiled = Predictor::compile(good);
-    ASSERT_TRUE(compiled.has_value());
-    ManualClock clock;
-    Server server(std::move(*compiled), ServerConfig{}, clock);
-    const auto reload = server.reload_bytes(bytes);
-    ASSERT_FALSE(reload.has_value());
-    EXPECT_EQ(reload.error().code, ErrorCode::kParseError);
-    EXPECT_EQ(server.model_generation(), 1u);
+/// Copy of `base` holding one four-node tree whose split sends rows to
+/// children `left` and `right`: forward and in range, so format v1
+/// accepted it, but not necessarily an adjacent pair.
+ml::GbdtRegressor split_regressor(const ml::GbdtRegressor& base, int left,
+                                  int right) {
+  using Node = ml::GradientTree::Node;
+  Node split;
+  split.feature = 0;
+  split.threshold = 0.5;
+  split.bin = 0;
+  split.left = left;
+  split.right = right;
+  Node leaf;
+  leaf.value = 1.0;
+  ml::GradientTree tree;
+  tree.restore({split, leaf, leaf, leaf}, {1.0, 0.0, 0.0, 0.0}, 0);
+  ml::GbdtRegressor out(base.config());
+  out.restore(base.mapper(), base.base(), {tree}, base.n_features());
+  return out;
+}
 
-    // The old model still answers, bit for bit.
-    const auto windows = query_windows();
-    const auto& window = windows.front();
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      ASSERT_TRUE(server.submit({7, window[i], 0}).has_value());
-    }
-    const auto responses = server.drain();
-    ASSERT_EQ(responses.size(), window.size());
-    const auto expect = good.predict(window);
-    const auto& got = responses.back().result;
-    ASSERT_TRUE(expect.has_value());
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(bits(got->throughput_mbps), bits(expect->throughput_mbps));
-    EXPECT_EQ(got->tier, expect->tier);
+// Format v2 requires every split's children to be an adjacent pair
+// (right == left + 1), which lets the serving loader copy a tree without
+// relinking it. A hash-valid artifact breaking only that rule fails with
+// kParseError from both loaders, and a live server rolls back.
+TEST(ModelIo, NonAdjacentChildrenRejected) {
+  const core::Lumos5G& good = small_facade();
+  ASSERT_TRUE(good.tier_trained(0));
+  {
+    // The control: the same tree with an adjacent pair loads.
+    core::Lumos5G adjacent = good;
+    adjacent.restore_tier(0, split_regressor(good.tier_regressor(0), 1, 2),
+                          good.tier_classifier(0));
+    EXPECT_TRUE(load_lumos5g(save_bytes(adjacent)).has_value());
+    EXPECT_TRUE(load_predictor(save_bytes(adjacent)).has_value());
+  }
+  for (const auto& [left, right] : {std::pair{1, 3}, std::pair{2, 1}}) {
+    SCOPED_TRACE("left " + std::to_string(left) + " right " +
+                 std::to_string(right));
+    core::Lumos5G bad = good;
+    bad.restore_tier(0, split_regressor(good.tier_regressor(0), left, right),
+                     good.tier_classifier(0));
+    expect_parse_error_and_rollback(save_bytes(bad));
   }
 }
 
@@ -468,6 +556,13 @@ TEST(Predictor, CompileRejectsUntrained) {
   const auto p = Predictor::compile(untrained);
   ASSERT_FALSE(p.has_value());
   EXPECT_EQ(p.error().code, ErrorCode::kNotTrained);
+  // Its artifact is well formed (the facade loader restores it) but has
+  // nothing to serve.
+  const std::string bytes = save_bytes(untrained);
+  EXPECT_TRUE(load_lumos5g(bytes).has_value());
+  const auto loaded = load_predictor(bytes);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.error().code, ErrorCode::kNotTrained);
 }
 
 TEST(Predictor, MatchesFacadeBitwise) {
@@ -505,6 +600,46 @@ TEST(Predictor, ReloadedFacadeCompilesToSamePredictions) {
     if (a.has_value()) {
       EXPECT_EQ(bits(a->throughput_mbps), bits(b->throughput_mbps));
       EXPECT_EQ(a->tier, b->tier);
+    }
+  }
+}
+
+// The serving loader parses an artifact straight into flat tiers, which
+// must match what compile() flattens from the trained facade: the same
+// nodes, and bit-identical answers at every degradation floor.
+TEST(Predictor, LoadedPredictorMatchesCompiled) {
+  const auto loaded = load_predictor(save_bytes(facade()));
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().describe();
+  const auto compiled = Predictor::compile(facade());
+  ASSERT_TRUE(compiled.has_value());
+  EXPECT_EQ(loaded->n_nodes(), compiled->n_nodes());
+  EXPECT_EQ(loaded->max_width(), compiled->max_width());
+  ASSERT_EQ(loaded->tier_specs(), compiled->tier_specs());
+
+  const auto windows = query_windows();
+  const std::vector<std::span<const data::SampleRecord>> spans(
+      windows.begin(), windows.end());
+  PredictScratch scratch;
+  scratch.reserve(spans.size(), compiled->max_width());
+  const Expected<core::Prediction> unset(Error{ErrorCode::kWindowUnusable, ""});
+  for (std::size_t min_tier = 0; min_tier <= compiled->tier_specs().size();
+       ++min_tier) {
+    std::vector<Expected<core::Prediction>> got(spans.size(), unset);
+    std::vector<Expected<core::Prediction>> want(spans.size(), unset);
+    loaded->predict_spans_columnar(spans, got, scratch, min_tier);
+    compiled->predict_spans_columnar(spans, want, scratch, min_tier);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      ASSERT_EQ(got[i].has_value(), want[i].has_value())
+          << "min_tier " << min_tier << " window " << i;
+      if (!want[i].has_value()) {
+        EXPECT_EQ(got[i].error().code, want[i].error().code);
+        continue;
+      }
+      EXPECT_EQ(bits(got[i]->throughput_mbps), bits(want[i]->throughput_mbps))
+          << "min_tier " << min_tier << " window " << i;
+      EXPECT_EQ(got[i]->throughput_class, want[i]->throughput_class);
+      EXPECT_EQ(got[i]->tier, want[i]->tier);
+      EXPECT_EQ(got[i]->feature_group, want[i]->feature_group);
     }
   }
 }

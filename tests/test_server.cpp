@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -56,8 +57,22 @@ const core::Lumos5G& facade() {
   return *m;
 }
 
-Predictor make_predictor() {
-  auto compiled = Predictor::compile(facade());
+/// A one-tier L+M facade: a different tier chain, and a narrower widest
+/// feature row, than facade()'s T+M+C chain.
+const core::Lumos5G& lm_facade() {
+  static const core::Lumos5G* m = [] {
+    core::Lumos5GConfig cfg = facade().config();
+    cfg.feature_spec = data::FeatureSetSpec::parse("L+M");
+    auto* f = new core::Lumos5G(cfg);
+    const auto ok = f->train(airport_ds());
+    EXPECT_TRUE(ok.has_value());
+    return f;
+  }();
+  return *m;
+}
+
+Predictor make_predictor(const core::Lumos5G& model = facade()) {
+  auto compiled = Predictor::compile(model);
   EXPECT_TRUE(compiled.has_value());
   return std::move(*compiled);
 }
@@ -715,6 +730,62 @@ TEST(Server, ReloadFromFileSwapsAndBumpsGeneration) {
   EXPECT_EQ(server.model_generation(), 2u);
   EXPECT_EQ(server.stats().reloads_ok, 1u);
   std::filesystem::remove_all(dir);
+}
+
+// A reload may change the tier chain and the widest feature row: from the
+// one-tier L+M model to the three-tier T+M+C chain (wider rows, so the
+// columnar scratch must grow) and back (narrower: the scratch is kept).
+// Every answer matches a server built fresh on the model that gave it,
+// bit for bit, and the per-tier counters take the new chain's shape.
+TEST(Server, ReloadAcrossTierChains) {
+  const Predictor lm = make_predictor(lm_facade());
+  const Predictor tmc = make_predictor();
+  ASSERT_EQ(lm.tier_specs().size(), 1u);
+  ASSERT_EQ(tmc.tier_specs().size(), 3u);
+  ASSERT_LT(lm.max_width(), tmc.max_width());
+  const std::string lm_bytes = save_bytes(lm_facade());
+  const std::string tmc_bytes = save_bytes(facade());
+
+  const auto samples = run_samples(0, 18);
+  ManualClock c_lm, c_tmc, c_live;
+  Server fresh_lm(Predictor(lm), ServerConfig{}, c_lm);
+  Server fresh_tmc(Predictor(tmc), ServerConfig{}, c_tmc);
+  Server live(Predictor(lm), ServerConfig{}, c_live);
+  EXPECT_EQ(live.stats().served_by_tier.size(), 2u);
+
+  std::uint64_t served_since_reload = 0;
+  std::size_t models_disagree = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (i == 6 || i == 12) {
+      const auto swapped = live.reload_bytes(i == 6 ? tmc_bytes : lm_bytes);
+      ASSERT_TRUE(swapped.has_value()) << swapped.error().message;
+      EXPECT_EQ(live.stats().served_by_tier.size(), i == 6 ? 4u : 2u);
+      served_since_reload = 0;
+    }
+    // Sessions survive a reload, so each fresh server sees every sample.
+    const Response want_lm = serve_one(fresh_lm, 1, samples[i]);
+    const Response want_tmc = serve_one(fresh_tmc, 1, samples[i]);
+    const Response got = serve_one(live, 1, samples[i]);
+    const bool on_tmc = i >= 6 && i < 12;
+    expect_same_result(got.result, on_tmc ? want_tmc.result : want_lm.result);
+    if (on_tmc && want_tmc.result.has_value() && want_lm.result.has_value() &&
+        want_tmc.result->feature_group != want_lm.result->feature_group) {
+      ++models_disagree;
+    }
+    if (got.result.has_value()) ++served_since_reload;
+    if (i >= 6) {
+      const auto& by_tier = live.stats().served_by_tier;
+      EXPECT_EQ(std::accumulate(by_tier.begin(), by_tier.end(),
+                                std::uint64_t{0}),
+                served_since_reload)
+          << "sample " << i;
+    }
+  }
+  EXPECT_EQ(live.model_generation(), 3u);
+  EXPECT_EQ(live.stats().reloads_ok, 2u);
+  // The two chains answer from different feature groups, so the matches
+  // above tell the models apart.
+  EXPECT_GT(models_disagree, 0u);
 }
 
 // ---------- accounting ----------
