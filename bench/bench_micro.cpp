@@ -486,12 +486,11 @@ BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // The resilient server loop end to end (requests/sec): admission control,
 // deadline stamping, session upkeep, the depth-derived tier floor, and the
-// sharded batched predict, driven submit->step on a virtual clock
-// (threads = pool size = shard count, the server's default pairing). The
-// delta against BM_ServePredictBatch is the loop's overhead; the
-// threads:1 vs threads:8 ratio is the shard fan-out win (flat on a
-// single-core host). `preds_per_sec` reports served predictions per
-// second directly so the scaling curve reads off the counter column.
+// batched predict, driven submit->step on a virtual clock on a pool of one
+// (so one lane). The delta against BM_ServePredictBatch is the loop's
+// overhead. The lane fan-out is measured on wall time by bench/e2e
+// (`capacity_rps`, `common.parallel.scaling`), not here: this row reads
+// the main thread's CPU time, which cannot see pool workers.
 void BM_ServerThroughput(benchmark::State& state) {
   static const std::vector<data::SampleRecord>* stream = [] {
     auto* v = new std::vector<data::SampleRecord>;
@@ -510,7 +509,6 @@ void BM_ServerThroughput(benchmark::State& state) {
     serve::ServerConfig cfg;
     cfg.queue_capacity = 64;
     cfg.max_batch = 16;
-    cfg.num_shards = threads;
     serve::Server server(serve::Predictor(serve_predictor()), cfg, clock);
     std::size_t i = 0;
     for (const auto& s : *stream) {
@@ -532,13 +530,10 @@ void BM_ServerThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServerThroughput)
     ->ArgName("threads")
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // Session-store cost as the store grows: the time per request must stay
-// flat from 1k to 64k sessions. One shard on a pool of 1. The store is
+// flat from 1k to 64k sessions. One lane on a pool of 1. The store is
 // prefilled to max_sessions (Arg) outside the timed loop; each iteration
 // then submits 64 never-seen UEs and polls once, so every request creates
 // a session and evicts the LRU victim (TTL on, nothing idle long enough
@@ -567,7 +562,6 @@ void BM_ServerSessions(benchmark::State& state) {
   cfg.max_sessions = n;
   cfg.session_capacity = 2;
   cfg.session_ttl_ms = 3'600'000;
-  cfg.num_shards = 1;
   serve::Server server(serve::Predictor(serve_predictor()), cfg, clock);
   std::vector<serve::Response> out(kBatch);
   std::uint64_t ue = 0;

@@ -11,32 +11,7 @@ namespace {
 
 thread_local bool t_in_parallel_region = false;
 
-// static_cast<size_t>(-1) = "not yet resolved from LUMOS_GRAIN".
-std::atomic<std::size_t> g_grain_floor{static_cast<std::size_t>(-1)};
-
-std::size_t env_grain_floor() noexcept {
-  if (const char* env = std::getenv("LUMOS_GRAIN")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;
-}
-
 }  // namespace
-
-std::size_t grain_floor() noexcept {
-  std::size_t f = g_grain_floor.load(std::memory_order_relaxed);
-  if (f == static_cast<std::size_t>(-1)) {
-    f = env_grain_floor();
-    g_grain_floor.store(f, std::memory_order_relaxed);
-  }
-  return f;
-}
-
-void set_grain_floor(std::size_t floor) noexcept {
-  g_grain_floor.store(floor, std::memory_order_relaxed);
-}
 
 std::size_t configured_threads() noexcept {
   if (const char* env = std::getenv("LUMOS_THREADS")) {
@@ -162,7 +137,6 @@ void ThreadPool::parallel_for(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (end <= begin) return;
   if (grain == 0) grain = 1;
-  grain = std::max(grain, grain_floor());
   const std::size_t n_chunks = (end - begin + grain - 1) / grain;
 
   // Sequential fallback: pool of one, a nested region, or a single chunk.

@@ -35,20 +35,6 @@ namespace lumos {
 /// positive integer, else the hardware concurrency (min 1).
 std::size_t configured_threads() noexcept;
 
-/// Grain floor applied to every parallel_for: the effective grain is
-/// max(call-site grain, this). 0 (the default) leaves call sites alone.
-/// Resolved once from LUMOS_GRAIN; set_grain_floor overrides in-process
-/// (tests, or embedders tuning fork-join overhead on small hosts).
-///
-/// Determinism: parallel_for distributes disjoint-write iterations, so
-/// regrouping chunks never changes results; parallel_reduce derives its
-/// FP fold boundaries from its own `grain` argument before entering
-/// parallel_for (with an inner grain of 1 chunk), so a floor here cannot
-/// reassociate reductions either. Raising the floor is always
-/// bit-identity-safe.
-std::size_t grain_floor() noexcept;
-void set_grain_floor(std::size_t floor) noexcept;
-
 class ThreadPool {
  public:
   /// `n_threads` = 0 resolves via configured_threads().

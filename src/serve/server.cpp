@@ -30,28 +30,22 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
                                   static_cast<double>(cfg_.queue_capacity)));
 
   // Every buffer the serving path touches is allocated here, once: the
-  // per-shard admission rings and poll() window/result arenas, the
-  // global merge arena, and the session store below. After construction,
-  // submit() and poll() never allocate (enforced by the lumos_lint
-  // reachability pass).
-  n_shards_ = cfg_.num_shards != 0 ? cfg_.num_shards
-                                   : ThreadPool::global().threads();
-  n_shards_ = std::max<std::size_t>(1, n_shards_);
-  cfg_.num_shards = n_shards_;
-  shards_ = std::make_unique<Shard[]>(n_shards_);
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    Shard& sh = shards_[s];
-    sh.ring_.resize(cfg_.queue_capacity);
-    sh.window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);
-    sh.span_arena_.resize(cfg_.max_batch);
-    sh.slot_arena_.resize(cfg_.max_batch);
-    sh.result_arena_.assign(
-        cfg_.max_batch,
-        Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-    sh.scratch_.reserve(cfg_.max_batch, predictor_.max_width());
-  }
+  // admission ring, the poll() arenas, one columnar scratch per lane, and
+  // the session store below. After construction, submit() and poll()
+  // never allocate (enforced by the lumos_lint reachability pass).
+  ring_.resize(cfg_.queue_capacity);
   batch_arena_.resize(cfg_.max_batch);
-  busy_shards_.resize(n_shards_);
+  window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);
+  span_arena_.resize(cfg_.max_batch);
+  slot_arena_.resize(cfg_.max_batch);
+  result_arena_.assign(
+      cfg_.max_batch,
+      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+  scratch_.resize(std::clamp<std::size_t>(ThreadPool::global().threads(), 1,
+                                          cfg_.max_batch));
+  for (PredictScratch& scratch : scratch_) {
+    scratch.reserve(cfg_.max_batch, predictor_.max_width());
+  }
 
   // The session store. Slot links and ring cursors are 32-bit, with
   // kNil (UINT32_MAX) reserved as the null link. Every slot starts on the
@@ -101,23 +95,23 @@ Expected<std::uint64_t> Server::submit(const Request& req) {
     shed_.fetch_add(1, std::memory_order_relaxed);
     return Error{ErrorCode::kOverloaded, "over watermark"};
   }
-  // Admission is the one sanctioned lock on the hot path, and it is now
-  // per-shard: the critical section is a bounded handful of scalar writes
-  // into the shard's preallocated ring — no allocation, no I/O, no model
-  // work ever happens under a shard mutex. The ticket is drawn inside the
-  // lock so every shard ring stays ticket-ascending (what poll()'s k-way
-  // merge relies on).
-  Shard& shard = shards_[shard_of(req.ue_id)];
-  const std::scoped_lock lock(shard.mu_);  // lumos-lint: allow(hot-path-lock) bounded admission critical section
-  Pending& p = shard.ring_[(shard.head_ + shard.count_) % cfg_.queue_capacity];
+  // Admission is one of the two sanctioned locks on the hot path: the
+  // critical section is a bounded handful of scalar writes into the
+  // preallocated ring — no allocation, no I/O, no model work ever happens
+  // under mu_. The ticket is drawn inside the lock so the ring stays
+  // ticket-ascending.
+  const std::scoped_lock lock(mu_);  // lumos-lint: allow(hot-path-lock) bounded admission critical section
+  Pending& p = ring_[(head_ + count_) % cfg_.queue_capacity];
   p.ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
   p.ue_id = req.ue_id;
   p.enqueued_ms = now;
   const std::uint64_t budget =
       req.deadline_ms != 0 ? req.deadline_ms : cfg_.default_deadline_ms;
-  p.expiry_ms = budget != 0 ? now + budget : 0;
+  // Saturate: a budget past the end of the clock never expires.
+  const std::uint64_t room = std::numeric_limits<std::uint64_t>::max() - now;
+  p.expiry_ms = budget != 0 ? now + std::min(budget, room) : 0;
   p.sample = req.sample;
-  ++shard.count_;
+  ++count_;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t depth = prev + 1;
   std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
@@ -269,49 +263,36 @@ void Server::observe(std::uint32_t slot, const data::SampleRecord& sample) {
 void Server::evict_expired_sessions(std::uint64_t now) noexcept {
   if (cfg_.session_ttl_ms == 0) return;
   // Touches stamp non-decreasing clock readings in list order, so the
-  // expired sessions are exactly a prefix of the recency list.
+  // expired sessions are exactly a prefix of the recency list — and the
+  // idle time is never negative, so testing it (not last use + TTL)
+  // cannot overflow into evicting a fresh session.
   while (lru_head_ != kNil &&
-         slots_[lru_head_].last_used_ms + cfg_.session_ttl_ms < now) {
+         now - slots_[lru_head_].last_used_ms > cfg_.session_ttl_ms) {
     release_slot(lru_head_);
     ++stats_.evicted_ttl;
   }
 }
 
 std::size_t Server::poll(std::span<Response> out) {
-  // 1. Drain up to min(max_batch, out.size()) requests into the merge
-  //    arena, reassembling GLOBAL ticket order from the shard rings with
-  //    a k-way smallest-head-ticket merge (each ring is ticket-ascending,
-  //    so the merged batch is exactly the oldest n admitted requests —
-  //    the same batch, in the same order, the single-queue server
-  //    drained). The tier floor is derived from the depth at the start of
-  //    the step — the batch about to be served is part of the pressure it
-  //    was admitted under. The critical section is bounded scalar copies
-  //    out of preallocated rings, nothing else; shard mutexes are taken
-  //    in ascending index order (the one multi-lock site in the tree).
+  // 1. Drain the oldest min(max_batch, out.size()) requests into the batch
+  //    arena; the ring is in ticket order, so they come out in admission
+  //    order. The tier floor is derived from the depth at the start of the
+  //    step — the batch about to be served is part of the pressure it was
+  //    admitted under. The critical section is bounded scalar copies out
+  //    of the preallocated ring, nothing else.
   std::size_t n = 0;
   std::size_t depth_at_start = 0;
-  for (std::size_t s = 0; s < n_shards_; ++s) shards_[s].mu_.lock();  // lumos-lint: allow(hot-path-lock) bounded drain critical section
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    depth_at_start += shards_[s].count_;
-  }
-  n = std::min({cfg_.max_batch, depth_at_start, out.size()});
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t best = n_shards_;
-    std::uint64_t best_ticket = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t s = 0; s < n_shards_; ++s) {
-      const Shard& sh = shards_[s];
-      if (sh.count_ != 0 && sh.ring_[sh.head_].ticket < best_ticket) {
-        best_ticket = sh.ring_[sh.head_].ticket;
-        best = s;
-      }
+  {
+    const std::scoped_lock lock(mu_);  // lumos-lint: allow(hot-path-lock) bounded drain critical section
+    depth_at_start = count_;
+    n = std::min({cfg_.max_batch, count_, out.size()});
+    for (std::size_t i = 0; i < n; ++i) {
+      batch_arena_[i] = ring_[head_];
+      head_ = head_ + 1 == cfg_.queue_capacity ? 0 : head_ + 1;
     }
-    Shard& sh = shards_[best];
-    batch_arena_[i] = sh.ring_[sh.head_];
-    sh.head_ = (sh.head_ + 1) % cfg_.queue_capacity;
-    --sh.count_;
+    count_ -= n;
+    total_count_.fetch_sub(n, std::memory_order_acq_rel);
   }
-  total_count_.fetch_sub(n, std::memory_order_acq_rel);
-  for (std::size_t s = 0; s < n_shards_; ++s) shards_[s].mu_.unlock();
 
   const std::size_t min_tier = min_tier_for_depth(depth_at_start);
   const std::uint64_t now = clock_->now_ms();
@@ -319,15 +300,11 @@ std::size_t Server::poll(std::span<Response> out) {
   // 2. Expire overdue requests without touching sessions or the model —
   //    an expired answer is pure waste, so it must cost nothing (it
   //    neither creates nor touches a session). Live requests update their
-  //    session and snapshot its window into their home shard's contiguous
-  //    window arena, still walking the batch in admission order, so a UE
-  //    submitting twice in one batch sees its first observation but not
-  //    its second — and each shard's arena holds only its own UEs'
-  //    windows, giving phase 3 fully disjoint per-shard work.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].n_windows_ = 0;
-    shards_[s].arena_used_ = 0;
-  }
+  //    session and snapshot its window into the contiguous window arena,
+  //    walking the batch in admission order, so a UE submitting twice in
+  //    one batch sees its first observation but not its second.
+  std::size_t n_windows = 0;
+  std::size_t arena_used = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Pending& p = batch_arena_[i];
     Response& r = out[i];
@@ -346,59 +323,55 @@ std::size_t Server::poll(std::span<Response> out) {
     const Slot& x = slots_[slot];
     const data::SampleRecord* ring =
         records_ + std::size_t{slot} * cfg_.session_capacity;
-    Shard& home = shards_[shard_of(p.ue_id)];
-    // arena_used_ never exceeds max_batch * session_capacity (the arena's
+    // arena_used never exceeds max_batch * session_capacity (the arena's
     // constructed size): at most max_batch windows of at most
-    // session_capacity records each, even if one shard owns the batch.
-    // The ring is copied oldest first, as at most two contiguous runs.
-    data::SampleRecord* dst = home.window_arena_.data() + home.arena_used_;
+    // session_capacity records each. The ring is copied oldest first, as
+    // at most two contiguous runs.
+    data::SampleRecord* dst = window_arena_.data() + arena_used;
     const std::size_t first =
         std::min<std::size_t>(x.size, cfg_.session_capacity - x.head);
     std::copy_n(ring + x.head, first, dst);
     std::copy_n(ring, x.size - first, dst + first);
-    home.span_arena_[home.n_windows_] = {dst, x.size};
-    home.slot_arena_[home.n_windows_] = i;
-    home.arena_used_ += x.size;
-    ++home.n_windows_;
+    span_arena_[n_windows] = {dst, x.size};
+    slot_arena_[n_windows] = i;
+    arena_used += x.size;
+    ++n_windows;
   }
 
-  // 3. Fork-join over the shards that hold windows: each runs one
-  //    batched columnar walk over its own spans into its own result arena
-  //    (poll_shard). A window's prediction depends only on its own rows
-  //    and the tier floor — never on which other windows share the batch
-  //    — so the per-shard split is bit-identical to the single
-  //    whole-batch call (enforced by tests/test_shard.cpp digest crosses).
-  //    Fanning out over busy shards only means a batch that lands in one
-  //    shard (most polls at low load carry a single request) runs inline
-  //    without waking the pool. Grain 1 lets LUMOS_GRAIN collapse the
-  //    fan-out on hosts where it costs more than it buys.
-  std::size_t n_busy = 0;
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    if (shards_[s].n_windows_ != 0) busy_shards_[n_busy++] = s;
-  }
-  parallel_for(0, n_busy, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      poll_shard(shards_[busy_shards_[i]], min_tier);
+  // 3. Fork-join over contiguous lanes of the live windows: lane k walks
+  //    windows [k*w/L, (k+1)*w/L) on its own scratch into its own range
+  //    of the result arena (poll_lane). A window's prediction depends only
+  //    on its own rows and the tier floor — never on which other windows
+  //    share the walk — so the split is bit-identical to one whole-batch
+  //    call (enforced by tests/test_shard.cpp lane crosses). A one-window
+  //    poll (most polls at low load) is one chunk, which parallel_for runs
+  //    inline without waking the pool. The lambda captures two pointers,
+  //    so std::function holds it without allocating.
+  const struct {
+    std::size_t windows, lanes, min_tier;
+  } split{n_windows, std::min(scratch_.size(), n_windows), min_tier};
+  parallel_for(0, split.lanes, 1, [this, &split](std::size_t b,
+                                                 std::size_t e) {
+    for (std::size_t k = b; k < e; ++k) {
+      poll_lane(k, k * split.windows / split.lanes,
+                (k + 1) * split.windows / split.lanes, split.min_tier);
     }
   });
 
-  //    Merge + tally sequentially (counters are order-insensitive sums;
-  //    each out[] slot is written exactly once via slot_arena_).
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    Shard& sh = shards_[s];
-    for (std::size_t j = 0; j < sh.n_windows_; ++j) {
-      Response& r = out[sh.slot_arena_[j]];
-      if (sh.result_arena_[j].has_value()) {
-        const auto tier = static_cast<std::size_t>(sh.result_arena_[j]->tier);
-        if (tier < stats_.served_by_tier.size()) {
-          ++stats_.served_by_tier[tier];
-        }
-        ++stats_.served;
-      } else {
-        ++stats_.failed;
+  //    Tally in window order (counters are order-insensitive sums; each
+  //    out[] slot is written exactly once via slot_arena_).
+  for (std::size_t j = 0; j < n_windows; ++j) {
+    Response& r = out[slot_arena_[j]];
+    if (result_arena_[j].has_value()) {
+      const auto tier = static_cast<std::size_t>(result_arena_[j]->tier);
+      if (tier < stats_.served_by_tier.size()) {
+        ++stats_.served_by_tier[tier];
       }
-      r.result = std::move(sh.result_arena_[j]);
+      ++stats_.served;
+    } else {
+      ++stats_.failed;
     }
+    r.result = std::move(result_arena_[j]);
   }
 
   // 4. Idle-session TTL sweep against the same `now` the batch saw.
@@ -406,16 +379,16 @@ std::size_t Server::poll(std::span<Response> out) {
   return n;
 }
 
-void Server::poll_shard(Shard& shard, std::size_t min_tier) const {
-  // One batched columnar walk into the shard's result arena: the shard's
-  // feature rows are packed tier-by-tier into its preallocated scratch
-  // and evaluated level-synchronously over contiguous columns —
-  // bit-identical to per-window Predictor::predict (enforced by
-  // tests/test_columnar.cpp) but cache-friendlier per tree level.
+void Server::poll_lane(std::size_t lane, std::size_t begin, std::size_t end,
+                       std::size_t min_tier) {
+  // One batched columnar walk: the lane's feature rows are packed
+  // tier-by-tier into its preallocated scratch and evaluated
+  // level-synchronously over contiguous columns — bit-identical to
+  // per-window Predictor::predict (enforced by tests/test_columnar.cpp)
+  // but cache-friendlier per tree level.
   predictor_.predict_spans_columnar(
-      {shard.span_arena_.data(), shard.n_windows_},
-      {shard.result_arena_.data(), shard.n_windows_}, shard.scratch_,
-      min_tier);
+      {span_arena_.data() + begin, end - begin},
+      {result_arena_.data() + begin, end - begin}, scratch_[lane], min_tier);
 }
 
 std::vector<Response> Server::step() {
@@ -457,8 +430,7 @@ Expected<void> Server::reload_bytes(std::string_view bytes) {
   predictor_ = std::move(*loaded);
   // Only a wider model outgrows the columnar scratch; re-reserve it then
   // (cold path) so poll() stays allocation-free.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    PredictScratch& scratch = shards_[s].scratch_;
+  for (PredictScratch& scratch : scratch_) {
     if (predictor_.max_width() > scratch.max_width()) {
       scratch.reserve(cfg_.max_batch, predictor_.max_width());
     }

@@ -6,18 +6,18 @@
 // (and occasionally corrupted) underneath it. The Server adds exactly that
 // missing operational layer:
 //
-//   * Bounded MPSC admission queue, sharded by UE. Any number of producer
-//     threads call submit(); one consumer drives step(). Requests route to
-//     one of `num_shards` shards by a stable hash of ue_id — producers on
-//     different shards contend only on a lock-free global depth counter —
-//     and poll() merges the shard rings back into global ticket order, so
-//     sharding is invisible in every output. Admission is controlled by a
-//     shed watermark: at or above `shed_watermark` occupancy the request is
-//     rejected with a typed kOverloaded error instead of growing the queue
-//     (and a hard cap at queue_capacity backstops a watermark of 1.0).
-//     Within poll(), the per-shard batch slices are predicted fork-join
-//     over the thread pool (see DESIGN §12), bit-identically to the
-//     single-shard walk; a batch that lands in one shard runs inline.
+//   * Bounded MPSC admission queue. Any number of producer threads call
+//     submit(); one consumer drives poll(). A producer reserves queue
+//     depth on a lock-free counter, then appends to one ring under one
+//     mutex, drawing its ticket inside that lock — so ring order is
+//     ticket order, and poll() takes the oldest requests first. Admission
+//     is controlled by a shed watermark: at or above `shed_watermark`
+//     occupancy the request is rejected with a typed kOverloaded error
+//     instead of growing the queue (and a hard cap at queue_capacity
+//     backstops a watermark of 1.0). Within poll(), the batch's live
+//     windows are split into contiguous lanes predicted fork-join over
+//     the thread pool (see DESIGN §12), bit-identically to one
+//     whole-batch walk; a one-window poll runs inline.
 //
 //   * Per-request deadlines. Each accepted request carries an absolute
 //     expiry (relative budget stamped against the injected Clock at
@@ -71,7 +71,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string_view>
@@ -116,14 +115,6 @@ struct ServerConfig {
   // --- hot reload ---
   std::size_t reload_max_attempts = 3;   ///< tries per reload() call
   std::uint64_t reload_backoff_ms = 10;  ///< initial backoff, doubles per retry
-
-  // --- sharding ---
-  /// Number of admission/session shards (requests are routed by a stable
-  /// hash of ue_id). 0 = thread-pool size at construction. Sharding never
-  /// changes results — poll() merges shard queues back into global ticket
-  /// order, so responses, tiers, and eviction effects are bit-identical at
-  /// any shard count; it only sets how wide poll() can fan out.
-  std::size_t num_shards = 0;
 };
 
 /// One prediction request: UE `ue_id` observed `sample` this second and
@@ -247,14 +238,13 @@ class Server {
   [[nodiscard]] std::size_t n_sessions() const noexcept {
     return n_sessions_;
   }
-  [[nodiscard]] std::size_t n_shards() const noexcept { return n_shards_; }
 
  private:
   struct Pending {
     std::uint64_t ticket = 0;
     std::uint64_t ue_id = 0;
     std::uint64_t enqueued_ms = 0;
-    std::uint64_t expiry_ms = 0;  ///< absolute; 0 = never expires
+    std::uint64_t expiry_ms = 0;  ///< absolute, saturating; 0 = never expires
     data::SampleRecord sample;
   };
 
@@ -276,46 +266,14 @@ class Server {
     std::uint32_t built = 0;
   };
 
-  /// One admission shard. Padded to a cache line so one shard's queue
-  /// counters and mutex never false-share with a neighbour's while
-  /// producers on different shards admit concurrently. Each shard owns a
-  /// full-capacity ring (any single shard may momentarily hold the whole
-  /// admitted load) and the poll() arenas for its slice of the batch, so
-  /// the per-shard predict fan-out shares no mutable state. Sessions are
-  /// not sharded: one store serves every shard from the sequential part of
-  /// poll(), so eviction order never depends on num_shards.
-  struct alignas(64) Shard {
-    mutable std::mutex mu_;  ///< guards ring_/head_/count_
-    std::vector<Pending> ring_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-
-    // Consumer-side state (poll()/reload() only; no lock needed).
-    std::vector<data::SampleRecord> window_arena_;
-    std::vector<std::span<const data::SampleRecord>> span_arena_;
-    std::vector<std::size_t> slot_arena_;  ///< out[] index per window
-    std::vector<Expected<core::Prediction>> result_arena_;
-    std::size_t n_windows_ = 0;
-    std::size_t arena_used_ = 0;
-    /// Columnar working set for predict_spans_columnar: reserved at
-    /// construction and again by a reload whose model is wider, never on
-    /// the serving path.
-    PredictScratch scratch_;
-  };
-
   /// splitmix64 finalizer of a UE id: platform- and run-independent, so
-  /// shard membership and index placement — and therefore every digest —
-  /// depend only on the ids and the config.
+  /// index placement — and therefore every digest — depends only on the
+  /// ids and the config.
   [[nodiscard]] static std::uint64_t mix(std::uint64_t ue) noexcept {
     std::uint64_t x = ue + 0x9E3779B97F4A7C15ULL;
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
     return x ^ (x >> 31);
-  }
-
-  /// Stable ue -> shard routing.
-  [[nodiscard]] std::size_t shard_of(std::uint64_t ue) const noexcept {
-    return static_cast<std::size_t>(mix(ue) % n_shards_);
   }
 
   // --- session store (consumer side) ---
@@ -338,21 +296,25 @@ class Server {
   void index_insert(std::uint64_t ue, std::uint32_t slot) noexcept;
   void index_erase(std::uint32_t slot) noexcept;
 
-  /// Phase-3 per-shard model work: one batched columnar predict over the
-  /// shard's window spans into its result arena. A hot-path root in the
-  /// lint reachability proof (runs inside the poll() fork-join).
-  void poll_shard(Shard& shard, std::size_t min_tier) const;
+  /// Phase-3 model work for one lane: one batched columnar predict over
+  /// windows [begin, end) of the span arena into the same range of the
+  /// result arena, on the lane's own scratch. A hot-path root in the lint
+  /// reachability proof (runs inside the poll() fork-join).
+  void poll_lane(std::size_t lane, std::size_t begin, std::size_t end,
+                 std::size_t min_tier);
 
   ServerConfig cfg_;
   Clock* clock_;
   Predictor predictor_;
 
-  std::size_t n_shards_ = 1;
-  std::unique_ptr<Shard[]> shards_;
+  // The admission ring, in ticket order: producers append and the consumer
+  // drains under mu_; depth, shed decision and counters are atomics.
+  std::mutex mu_;  ///< guards ring_/head_/count_
+  std::vector<Pending> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 
-  // Admission-side shared state: lock-free so producers on different
-  // shards only contend on their own shard's mutex.
-  std::atomic<std::size_t> total_count_{0};
+  std::atomic<std::size_t> total_count_{0};  ///< reserved queue depth
   std::atomic<bool> shutting_down_{false};
   std::atomic<std::uint64_t> next_ticket_{1};
   std::atomic<std::uint64_t> submitted_{0};
@@ -377,11 +339,17 @@ class Server {
   std::uint64_t generation_ = 1;
   mutable ServerStats stats_;
 
-  /// Preallocated merge arena: poll() reassembles the global-ticket-order
-  /// batch here from the shard rings.
-  std::vector<Pending> batch_arena_;
-  /// Preallocated list of the shards that hold windows in this poll.
-  std::vector<std::size_t> busy_shards_;
+  // poll() arenas, sized at construction for max_batch requests.
+  std::vector<Pending> batch_arena_;  ///< the drained batch, ticket order
+  std::vector<data::SampleRecord> window_arena_;  ///< live windows, packed
+  std::vector<std::span<const data::SampleRecord>> span_arena_;
+  std::vector<std::size_t> slot_arena_;  ///< out[] index per window
+  std::vector<Expected<core::Prediction>> result_arena_;
+  /// One columnar working set per lane, reserved at construction and
+  /// again by a reload whose model is wider, never on the serving path.
+  /// The lane count is the pool size at construction, clamped to
+  /// [1, max_batch].
+  std::vector<PredictScratch> scratch_;
 };
 
 }  // namespace lumos::serve

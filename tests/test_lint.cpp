@@ -458,7 +458,7 @@ bool has_edge(const lumos::lint::CallGraph& g, std::size_t from,
 TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
   // The clean tree scan is only a proof if the roots actually exist and
   // have bodies in the graph. Guard against silent rot: the real sources
-  // must yield nodes for every default root, and poll_shard must reach
+  // must yield nodes for every default root, and poll_lane must reach
   // the tree kernel through the batched columnar walk.
   const auto g = real_callgraph();
   for (const std::string& root : lumos::lint::default_analysis().roots) {
@@ -468,7 +468,7 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
   // The chain serving actually runs must be edges in the graph, down to
   // the tree kernel — otherwise the batched roots are vacuously clean.
   const std::vector<std::string> chain = {
-      "serve::Server::poll_shard",
+      "serve::Server::poll_lane",
       "serve::Predictor::predict_spans_columnar",
       "serve::FlatForest::predict_columnar",
       "serve::FlatForest::eval_block",

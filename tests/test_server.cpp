@@ -1,8 +1,9 @@
 // Tests for serve::Server — the resilient long-running serving loop.
-// Covers admission control (watermark shed, hard cap, shutdown), deadline
-// expiry, watermark-driven tier degradation, deterministic session
-// eviction (LRU + TTL, also checked against a reference model over seeded
-// random operation sequences), and hot reload with rollback. The two
+// Covers admission control (watermark shed, hard cap, shutdown, concurrent
+// producers), deadline expiry, watermark-driven tier degradation,
+// deterministic session eviction (LRU + TTL, also checked against a
+// reference model over seeded random operation sequences), and hot reload
+// with rollback. The two
 // load-bearing bit-identity invariants: a UE's predictions are unchanged
 // by eviction of an *unrelated* session, and unchanged across a hot
 // reload of an identical artifact. Both must hold at any LUMOS_THREADS
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -19,9 +21,12 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
@@ -203,6 +208,96 @@ TEST(Server, ShutdownRejectsNewButDrainsQueued) {
   EXPECT_EQ(server.queue_depth(), 0u);
 }
 
+// Four producer threads admit into a small queue while this thread polls.
+// Some requests shed; every accepted one is answered exactly once, in
+// ticket order, and each producer's tickets ascend in the order it
+// submitted. stats() is read only after the join.
+TEST(Server, ConcurrentProducersAreAnsweredOnceInTicketOrder) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kAttempts = 300;
+  ManualClock clock;
+  ServerConfig cfg;
+  cfg.queue_capacity = 16;
+  cfg.shed_watermark = 1.0;
+  cfg.max_batch = 8;
+  Server server(make_predictor(), cfg, clock);
+  const auto samples = run_samples(0, 16);
+
+  struct Producer {
+    std::vector<std::uint64_t> tickets;  // accepted, in submission order
+    std::size_t shed = 0;
+    std::size_t other_errors = 0;
+  };
+  std::vector<Producer> producers(kProducers);
+  std::atomic<std::size_t> shed_seen{0};
+  std::atomic<std::size_t> done{0};
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      Producer& me = producers[p];
+      for (std::size_t i = 0; i < kAttempts; ++i) {
+        const auto ticket = server.submit({p, samples[i % samples.size()], 0});
+        if (ticket.has_value()) {
+          me.tickets.push_back(*ticket);
+        } else if (ticket.error().code == ErrorCode::kOverloaded) {
+          ++me.shed;
+          shed_seen.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          ++me.other_errors;
+        }
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  // Poll only once the queue has overflowed, so the run sheds for certain:
+  // with nobody polling, the 17th admission sheds.
+  while (shed_seen.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  std::vector<Response> out(cfg.max_batch);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> answered;  // ticket, ue
+  for (;;) {
+    const bool all_done = done.load(std::memory_order_acquire) == kProducers;
+    const std::size_t n = server.poll(out);
+    for (std::size_t i = 0; i < n; ++i) {
+      answered.emplace_back(out[i].ticket, out[i].ue_id);
+    }
+    if (all_done && n == 0) break;
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(server.queue_depth(), 0u);
+
+  std::map<std::uint64_t, std::uint64_t> producer_of;  // ticket -> producer
+  std::size_t accepted = 0;
+  std::size_t shed = 0;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    const Producer& me = producers[p];
+    EXPECT_EQ(me.tickets.size() + me.shed, kAttempts) << "producer " << p;
+    EXPECT_EQ(me.other_errors, 0u) << "producer " << p;
+    for (std::size_t i = 0; i < me.tickets.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(me.tickets[i - 1], me.tickets[i]) << "producer " << p;
+      }
+      producer_of.emplace(me.tickets[i], p);
+    }
+    accepted += me.tickets.size();
+    shed += me.shed;
+  }
+  EXPECT_GT(shed, 0u);
+  ASSERT_EQ(answered.size(), accepted);
+  ASSERT_EQ(producer_of.size(), accepted);
+  for (std::size_t i = 0; i < answered.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(answered[i - 1].first, answered[i].first) << "response " << i;
+    }
+    const auto it = producer_of.find(answered[i].first);
+    ASSERT_NE(it, producer_of.end()) << "ticket " << answered[i].first;
+    EXPECT_EQ(answered[i].second, it->second) << "ticket " << it->first;
+  }
+  EXPECT_EQ(server.stats().submitted, accepted);
+  EXPECT_EQ(server.stats().shed, shed);
+}
+
 TEST(Server, BatchedSameUeMatchesSequentialBitwise) {
   // A UE submitting twice into one batch must see exactly the windows it
   // would have seen submitting one step at a time.
@@ -272,6 +367,23 @@ TEST(Server, ZeroDeadlineNeverExpires) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].result.has_value() ||
               out[0].result.error().code != ErrorCode::kDeadlineExceeded);
+}
+
+// A budget that reaches past the end of the clock saturates; it must not
+// wrap around into an expiry in the past.
+TEST(Server, HugeDeadlineNeverExpires) {
+  ManualClock clock(1'000);
+  Server server(make_predictor(), ServerConfig{}, clock);
+  ASSERT_TRUE(server
+                  .submit({1, run_samples(0, 1)[0],
+                           std::numeric_limits<std::uint64_t>::max()})
+                  .has_value());
+  clock.advance_ms(5);
+  const auto out = server.step();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].result.has_value() ||
+              out[0].result.error().code != ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(server.stats().deadline_expired, 0u);
 }
 
 // ---------- watermark degradation ----------
@@ -408,6 +520,18 @@ TEST(Server, TtlEvictsIdleSessions) {
   EXPECT_EQ(server.stats().evicted_ttl, 1u);
 }
 
+// The longest TTL must keep the session the same poll just created, not
+// overflow into evicting it.
+TEST(Server, HugeTtlNeverEvicts) {
+  ManualClock clock(1'000);
+  ServerConfig cfg;
+  cfg.session_ttl_ms = std::numeric_limits<std::uint64_t>::max();
+  Server server(make_predictor(), cfg, clock);
+  serve_one(server, 1, run_samples(0, 1)[0]);
+  EXPECT_EQ(server.n_sessions(), 1u);
+  EXPECT_EQ(server.stats().evicted_ttl, 0u);
+}
+
 // ---------- session store: randomized differential ----------
 
 /// The session rules spelled the slow, obvious way: a map keyed by use
@@ -448,7 +572,7 @@ class SessionModel {
   void sweep(std::uint64_t now) {
     if (cfg_.session_ttl_ms == 0) return;
     for (auto it = by_ue_.begin(); it != by_ue_.end();) {
-      if (it->second.last_used_ms + cfg_.session_ttl_ms < now) {
+      if (now - it->second.last_used_ms > cfg_.session_ttl_ms) {
         by_seq_.erase(it->second.seq);
         it = by_ue_.erase(it);
         ++evicted_ttl;
@@ -493,12 +617,12 @@ const std::vector<data::SampleRecord>& sample_pool() {
 /// max_batch, and forward clock steps, some across the TTL and past
 /// request deadlines. Checked after every poll.
 /// `variant` 1..3 picks the deadline default (odd: 300 ms) and the TTL
-/// (200 ms, 2 s, off).
+/// (200 ms, 2 s, off). `lanes` is the poll fan-out width.
 void run_session_differential(std::size_t max_sessions, std::size_t capacity,
-                              std::size_t shards, std::uint64_t variant) {
+                              std::size_t lanes, std::uint64_t variant) {
   SCOPED_TRACE("max_sessions=" + std::to_string(max_sessions) +
                " capacity=" + std::to_string(capacity) +
-               " shards=" + std::to_string(shards) +
+               " lanes=" + std::to_string(lanes) +
                " variant=" + std::to_string(variant));
   static const Predictor direct = make_predictor();
   const auto& samples = sample_pool();
@@ -512,10 +636,13 @@ void run_session_differential(std::size_t max_sessions, std::size_t capacity,
   cfg.max_sessions = max_sessions;
   cfg.session_ttl_ms = variant == 1 ? 200 : variant == 2 ? 2'000 : 0;
   cfg.session_capacity = capacity;
-  cfg.num_shards = shards;
+  // The lane count is the pool size at construction; serving then runs
+  // on the environment's pool.
+  ThreadPool::global().set_threads(lanes);
   Server server(make_predictor(), cfg, clock);
+  ThreadPool::global().set_threads(0);
   SessionModel model(server.config());
-  Rng rng(variant * 1'000'003 + max_sessions * 1009 + capacity * 17 + shards);
+  Rng rng(variant * 1'000'003 + max_sessions * 1009 + capacity * 17 + lanes);
 
   // More UEs than slots, including both ends of the id range.
   std::vector<std::uint64_t> ues = {0, std::numeric_limits<std::uint64_t>::max()};
@@ -575,7 +702,7 @@ void run_session_differential(std::size_t max_sessions, std::size_t capacity,
         EXPECT_EQ(r.min_tier, server.min_tier_for_depth(depth));
         const std::uint64_t budget =
             req.budget != 0 ? req.budget : cfg.default_deadline_ms;
-        if (budget != 0 && now > req.enqueued_ms + budget) {
+        if (budget != 0 && now - req.enqueued_ms > budget) {
           ASSERT_FALSE(r.result.has_value());
           EXPECT_EQ(r.result.error().code, ErrorCode::kDeadlineExceeded);
           continue;
@@ -600,9 +727,9 @@ class SessionDifferential : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(SessionDifferential, MatchesReferenceModel) {
   for (const std::size_t capacity :
        {std::size_t{1}, std::size_t{3}, std::size_t{32}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
       for (std::uint64_t variant = 1; variant <= 3; ++variant) {
-        run_session_differential(GetParam(), capacity, shards, variant);
+        run_session_differential(GetParam(), capacity, lanes, variant);
       }
     }
   }

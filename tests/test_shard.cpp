@@ -1,21 +1,26 @@
-// Sharded serving suite (DESIGN §12).
+// Batch-split serving suite (DESIGN §12).
 //
 // Bit-identity contracts under test:
 //   * FlatForest::predict_columnar at batch sizes that are NOT multiples
 //     of the 64-row block (1, 63, 65, 127) matches the pointer-tree
 //     predict() bitwise;
-//   * a Server with 8 shards answers the same response stream, bit for
-//     bit, as a Server with 1 shard — including when every request lands
-//     on one shard (the other seven stay empty all run);
-//   * more shards than pool threads still drains every admitted ticket,
-//     at any LUMOS_GRAIN floor.
+//   * a Server whose poll fans out over 8 lanes answers the same response
+//     stream, bit for bit, as a 1-lane Server — including when one UE's
+//     windows fill every lane, and when a poll holds fewer live windows
+//     than there are lanes;
+//   * more lanes than pool threads still answers every admitted ticket
+//     exactly once, with the 1-lane stream.
 //
+// The lane count is the pool size at construction, so the servers below
+// are built under a pinned pool and then serve under the environment's.
 // Every assertion must hold at any LUMOS_THREADS (the suite runs under
 // those pins from CMake).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "common/clock.h"
@@ -131,7 +136,7 @@ TEST(ShardWalk, ColumnarMatchesRowPredictAtTailSizes) {
   }
 }
 
-// ---------- sharded server vs single shard ----------
+// ---------- lane split vs one lane ----------
 
 /// Drives `samples` through a server (UE id = sample index % n_ues,
 /// stepping every `batch` submissions) and returns the response stream in
@@ -153,75 +158,97 @@ std::vector<Response> drive(Server& server, ManualClock& clock,
   return out;
 }
 
-ServerConfig shard_cfg(std::size_t num_shards) {
+ServerConfig lane_cfg() {
   ServerConfig cfg;
   cfg.queue_capacity = 64;
   cfg.max_batch = 16;
-  cfg.num_shards = num_shards;
   return cfg;
 }
 
-TEST(ShardServer, EightShardsMatchOneShardBitwise) {
+/// A server whose polls fan out over `lanes` lanes (at most max_batch):
+/// built under a pool of that size, which then returns to the
+/// environment default for serving.
+std::unique_ptr<Server> lane_server(std::size_t lanes, ManualClock& clock) {
+  ThreadPool::global().set_threads(lanes);
+  auto server = std::make_unique<Server>(make_predictor(), lane_cfg(), clock);
+  ThreadPool::global().set_threads(0);
+  return server;
+}
+
+void expect_same_stream(const std::vector<Response>& a,
+                        const std::vector<Response>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_response(a[i], b[i]);
+}
+
+TEST(LaneServer, EightLanesMatchOneLaneBitwise) {
   const auto samples = run_samples(0, 48);
   ManualClock clock1, clock8;
-  Server one(make_predictor(), shard_cfg(1), clock1);
-  Server eight(make_predictor(), shard_cfg(8), clock8);
-  EXPECT_EQ(one.n_shards(), 1u);
-  EXPECT_EQ(eight.n_shards(), 8u);
-  const auto r1 = drive(one, clock1, samples, /*n_ues=*/6, /*batch=*/12);
-  const auto r8 = drive(eight, clock8, samples, /*n_ues=*/6, /*batch=*/12);
+  const auto one = lane_server(1, clock1);
+  const auto eight = lane_server(8, clock8);
+  const auto r1 = drive(*one, clock1, samples, /*n_ues=*/6, /*batch=*/12);
+  const auto r8 = drive(*eight, clock8, samples, /*n_ues=*/6, /*batch=*/12);
   ASSERT_EQ(r1.size(), samples.size());
-  ASSERT_EQ(r8.size(), r1.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
-    expect_same_response(r1[i], r8[i]);
-  }
-  EXPECT_EQ(one.stats().served, eight.stats().served);
-  EXPECT_EQ(one.stats().failed, eight.stats().failed);
+  expect_same_stream(r1, r8);
+  EXPECT_EQ(one->stats().served, eight->stats().served);
+  EXPECT_EQ(one->stats().failed, eight->stats().failed);
 }
 
-// Single-UE flood: every request hashes to the same shard, so seven of
-// the eight shards stay empty through every poll — the merge must not
-// stall on them, and the stream must still match the 1-shard server.
-TEST(ShardServer, SingleUeFloodLandsOnOneShardAndMatches) {
+// Single-UE flood: each 16-request poll holds sixteen windows of one UE,
+// each a snapshot one observation later than the last, so the lane split
+// cuts one session's history across all eight lanes. The stream must
+// still match the 1-lane server.
+TEST(LaneServer, SingleUeFloodSplitsAcrossLanesAndMatches) {
   const auto samples = run_samples(0, 40);
   ManualClock clock1, clock8;
-  Server one(make_predictor(), shard_cfg(1), clock1);
-  Server eight(make_predictor(), shard_cfg(8), clock8);
-  const auto r1 = drive(one, clock1, samples, /*n_ues=*/1, /*batch=*/16);
-  const auto r8 = drive(eight, clock8, samples, /*n_ues=*/1, /*batch=*/16);
+  const auto one = lane_server(1, clock1);
+  const auto eight = lane_server(8, clock8);
+  const auto r1 = drive(*one, clock1, samples, /*n_ues=*/1, /*batch=*/16);
+  const auto r8 = drive(*eight, clock8, samples, /*n_ues=*/1, /*batch=*/16);
   ASSERT_EQ(r1.size(), samples.size());
-  ASSERT_EQ(r8.size(), r1.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
-    expect_same_response(r1[i], r8[i]);
+  expect_same_stream(r1, r8);
+}
+
+// An empty poll returns nothing at any lane count, and polls of 1 to 7
+// live windows — fewer than the 8 lanes, so only that many lanes run —
+// match the 1-lane server.
+TEST(LaneServer, EmptyAndNarrowPollsMatchOneLane) {
+  ManualClock clock1, clock8;
+  const auto one = lane_server(1, clock1);
+  const auto eight = lane_server(8, clock8);
+  EXPECT_TRUE(one->step().empty());
+  EXPECT_TRUE(eight->step().empty());
+  EXPECT_EQ(eight->queue_depth(), 0u);
+  for (std::size_t batch = 1; batch < 8; ++batch) {
+    const auto samples = run_samples(batch % 4, 3 * batch);
+    const auto r1 = drive(*one, clock1, samples, /*n_ues=*/5, batch);
+    const auto r8 = drive(*eight, clock8, samples, /*n_ues=*/5, batch);
+    ASSERT_EQ(r1.size(), samples.size()) << "batch " << batch;
+    expect_same_stream(r1, r8);
   }
 }
 
-// An empty server polls to an empty batch regardless of shard count.
-TEST(ShardServer, EmptyShardsPollToNothing) {
-  ManualClock clock;
-  Server server(make_predictor(), shard_cfg(8), clock);
-  EXPECT_TRUE(server.step().empty());
-  EXPECT_EQ(server.queue_depth(), 0u);
-}
-
-// More shards than pool threads: the fork-join fan-out hands several
-// shards to one worker; every admitted ticket must still be answered
-// exactly once — including with the grain floor forced so high that the
-// whole fan-out collapses into a single chunk.
-TEST(ShardServer, MoreShardsThanThreadsDrains) {
+// More lanes than pool threads: built at pool 8, served at pool 2, so each
+// worker walks several lanes. Every admitted ticket must be answered
+// exactly once, and the stream must equal the 1-lane stream.
+TEST(LaneServer, MoreLanesThanThreadsDrains) {
   const auto samples = run_samples(0, 32);
+  ManualClock clock1, clock8;
+  const auto one = lane_server(1, clock1);
+  const auto r1 = drive(*one, clock1, samples, /*n_ues=*/8, /*batch=*/16);
+  ThreadPool::global().set_threads(8);
+  Server eight(make_predictor(), lane_cfg(), clock8);
   ThreadPool::global().set_threads(2);
-  for (const std::size_t floor : {std::size_t{0}, std::size_t{16}}) {
-    set_grain_floor(floor);
-    ManualClock clock;
-    Server server(make_predictor(), shard_cfg(8), clock);
-    const auto responses =
-        drive(server, clock, samples, /*n_ues=*/8, /*batch=*/16);
-    EXPECT_EQ(responses.size(), samples.size()) << "grain floor " << floor;
-    EXPECT_EQ(server.queue_depth(), 0u);
-  }
-  set_grain_floor(0);
+  const auto r8 = drive(eight, clock8, samples, /*n_ues=*/8, /*batch=*/16);
   ThreadPool::global().set_threads(0);
+  ASSERT_EQ(r8.size(), samples.size());
+  EXPECT_EQ(eight.queue_depth(), 0u);
+  std::set<std::uint64_t> answered;
+  for (const auto& r : r8) {
+    EXPECT_TRUE(answered.insert(r.ticket).second) << "ticket " << r.ticket;
+  }
+  EXPECT_EQ(answered.size(), eight.stats().submitted);
+  expect_same_stream(r1, r8);
 }
 
 }  // namespace

@@ -92,10 +92,12 @@ struct SoakReport {
 
 /// One full soak run: pure function of (seed, ticks) — and, by the
 /// serving-layer determinism contract, of nothing else (not the thread
-/// count, not the shard count, not real time). `num_shards` = 0 keeps the
-/// server default (pool size).
+/// count, not the lane count, not real time). `lanes` != 0 builds the
+/// server under a pool of that size (the lane count is the pool size at
+/// construction) and then serves under a pool of `serve_threads` (0 = the
+/// environment default); `lanes` = 0 leaves the pool as it is.
 SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
-                    std::size_t num_shards = 0) {
+                    std::size_t lanes = 0, std::size_t serve_threads = 0) {
   const auto& ds = airport_ds();
   const auto runs = ds.runs();
 
@@ -110,10 +112,11 @@ SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
   cfg.session_ttl_ms = 60'000;
   cfg.reload_max_attempts = 2;
   cfg.reload_backoff_ms = 5;
-  cfg.num_shards = num_shards;
   auto compiled = Predictor::compile(facade());
   EXPECT_TRUE(compiled.has_value());
+  if (lanes != 0) ThreadPool::global().set_threads(lanes);
   Server server(std::move(*compiled), cfg, clock);
+  if (lanes != 0) ThreadPool::global().set_threads(serve_threads);
 
   ChaosConfig chaos_cfg = ChaosConfig::uniform(0.05);
   chaos_cfg.corrupt_artifact = 0.4;   // reload-path faults hit hard
@@ -265,7 +268,7 @@ constexpr std::size_t kTicks = 3000;
 // The comparisons below only check runs against each other, so a change
 // that moves every run the same way would pass them. These literals pin
 // the absolute response streams of two seeds (the digest is the same at
-// any thread or shard count).
+// any thread or lane count).
 constexpr std::uint64_t kSeed1Digest = 0x55e87c7f74e4ee2bULL;
 constexpr std::uint64_t kSeed1Answered = 4441;
 constexpr std::uint64_t kSeed7Digest = 0xd4e69fba57f9e495ULL;
@@ -304,31 +307,30 @@ TEST(Soak, DigestIsIdenticalAtOneAndEightThreads) {
   EXPECT_EQ(one.answered, eight.answered);
 }
 
-TEST(Soak, DigestIsIdenticalAcrossShardCounts) {
-  const SoakReport one = run_soak(/*seed=*/13, kTicks, /*num_shards=*/1);
-  const SoakReport eight = run_soak(/*seed=*/13, kTicks, /*num_shards=*/8);
+TEST(Soak, DigestIsIdenticalAcrossLaneCounts) {
+  const SoakReport one = run_soak(/*seed=*/13, kTicks, /*lanes=*/1);
+  const SoakReport eight = run_soak(/*seed=*/13, kTicks, /*lanes=*/8);
   EXPECT_EQ(one.digest, eight.digest);
   EXPECT_EQ(one.answered, eight.answered);
   EXPECT_EQ(one.reload_ok, eight.reload_ok);
   EXPECT_EQ(one.reload_rolled_back, eight.reload_rolled_back);
 }
 
-// The full cross: the response stream is one digest for every
-// (threads, shards) pairing — the sharded fan-out neither reorders nor
-// re-associates anything at any pool size.
-TEST(Soak, DigestIsIdenticalAcrossThreadShardCross) {
+// The full cross: the response stream is one digest for every pairing of
+// the pool size at construction (the lane count) with the pool size while
+// serving — the lane fan-out neither reorders nor re-associates anything.
+TEST(Soak, DigestIsIdenticalAcrossThreadLaneCross) {
   std::uint64_t expect = 0;
   bool first = true;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    ThreadPool::global().set_threads(threads);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-      const SoakReport r = run_soak(/*seed=*/17, kTicks / 3, shards);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      const SoakReport r = run_soak(/*seed=*/17, kTicks / 3, lanes, threads);
       if (first) {
         expect = r.digest;
         first = false;
       }
       EXPECT_EQ(r.digest, expect)
-          << "threads=" << threads << " shards=" << shards;
+          << "lanes=" << lanes << " threads=" << threads;
     }
   }
   ThreadPool::global().set_threads(0);

@@ -49,7 +49,7 @@ const AnalysisConfig& default_analysis() {
       {
           "serve::Server::submit",
           "serve::Server::poll",
-          "serve::Server::poll_shard",
+          "serve::Server::poll_lane",
           "serve::Predictor::predict",
           "serve::Predictor::predict_spans_columnar",
           "serve::FlatForest::predict",

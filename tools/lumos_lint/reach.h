@@ -1,7 +1,7 @@
 // Reachability pass: the hot-path proof.
 //
 // A checked-in roots table names the serving entry points (Server::submit,
-// Server::poll/poll_shard, Predictor::predict/predict_spans_columnar, the
+// Server::poll/poll_lane, Predictor::predict/predict_spans_columnar, the
 // FlatForest/FlatClassifier walks down to FlatForest::eval_block,
 // core::Lumos5G::predict). analyze_sources() builds the call graph over the
 // whole src/ tree, walks every root's reachable set, and reports each
