@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/parallel.h"
+
 namespace lumos::core {
 
 /// Drops T first (adding L so a location signal survives — panel geometry
@@ -62,20 +64,48 @@ std::size_t Lumos5G::best_tier() const noexcept {
 Expected<void> Lumos5G::train(const data::Dataset& ds) {
   trained_ = false;
   std::size_t best_rows = 0;
+  std::vector<data::BuiltFeatures> built(tiers_.size());
+  // One task per model of every trainable tier. Every fit grows
+  // cfg_.gbdt.n_estimators stages; a classifier grows one tree per class
+  // per stage, so it costs kNumThroughputClasses regressors.
+  struct Fit {
+    std::size_t tier;
+    bool classifier;
+    std::size_t cost;  ///< trees per stage × rows × feature width
+  };
+  std::vector<Fit> fits;
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     Tier& tier = tiers_[i];
     tier.trained = false;
-    const auto built =
-        data::build_features(ds, tier_specs_[i], cfg_.features);
-    best_rows = std::max(best_rows, built.x.rows());
-    if (built.x.rows() < kMinTrainRows) continue;
+    built[i] = data::build_features(ds, tier_specs_[i], cfg_.features);
+    const std::size_t rows = built[i].x.rows();
+    best_rows = std::max(best_rows, rows);
+    if (rows < kMinTrainRows) continue;
     tier.regressor = ml::GbdtRegressor(cfg_.gbdt);
     tier.classifier = ml::GbdtClassifier(cfg_.gbdt);
-    tier.regressor.fit(built.x, built.y_reg);
-    tier.classifier.fit(built.x, built.y_cls, data::kNumThroughputClasses);
-    tier.trained = true;
-    trained_ = true;
+    const std::size_t work = rows * built[i].x.cols();
+    fits.push_back({i, false, work});
+    fits.push_back({i, true, work * data::kNumThroughputClasses});
   }
+  // Heaviest first, so the longest fit starts at once and the short ones
+  // fill in around it. Each task seeds its own Rng from cfg_.gbdt and
+  // writes only its own model, and the fits' inner parallel_for calls run
+  // inline, so every tree is the same at any pool size.
+  std::stable_sort(fits.begin(), fits.end(),
+                   [](const Fit& a, const Fit& b) { return a.cost > b.cost; });
+  parallel_for(0, fits.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t k = b; k < e; ++k) {
+      const data::BuiltFeatures& f = built[fits[k].tier];
+      Tier& tier = tiers_[fits[k].tier];
+      if (fits[k].classifier) {
+        tier.classifier.fit(f.x, f.y_cls, data::kNumThroughputClasses);
+      } else {
+        tier.regressor.fit(f.x, f.y_reg);
+      }
+    }
+  });
+  for (const Fit& fit : fits) tiers_[fit.tier].trained = true;
+  trained_ = !fits.empty();
   if (!trained_) {
     return Error{ErrorCode::kDatasetTooSmall,
                  "Lumos5G::train: no fallback tier has >= " +

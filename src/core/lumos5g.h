@@ -75,7 +75,10 @@ class Lumos5G {
   /// Trains a GDBT regressor + classifier pair for every tier of the
   /// fallback chain the dataset can support (>= kMinTrainRows usable
   /// feature rows). Errors with kDatasetTooSmall when no tier is
-  /// trainable.
+  /// trainable. The models are fit concurrently on the global pool, one
+  /// task each, and are bit-identical at any pool size. The call holds
+  /// the pool until the last fit ends, so a serve::Server polling on the
+  /// same pool would wait behind it.
   Expected<void> train(const data::Dataset& ds);
 
   /// Predicts the next-slot throughput from the UE's recent samples (the

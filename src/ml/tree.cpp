@@ -453,6 +453,10 @@ void GradientTree::fit_impl(const Source& src, const BinMapper& mapper,
     stack.push_back({left, task.depth + 1, task.begin, mid});
     stack.push_back({right, task.depth + 1, mid, task.end});
   }
+  // push_back grew both arrays by doubling; an ensemble keeps hundreds of
+  // trees, so give the unused tail back (a 323-node tree would hold 512).
+  nodes_.shrink_to_fit();
+  gains_.shrink_to_fit();
 }
 
 double GradientTree::predict_binned(

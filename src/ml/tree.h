@@ -101,9 +101,11 @@ class GradientTree {
   /// cfg.feature_subsample > 0.
   ///
   /// Large nodes spread the candidate-feature histogram loop across the
-  /// global thread pool; per-feature work is independent and the best
+  /// global thread pool (inline when the fit is itself a pool task, as in
+  /// core::Lumos5G::train); per-feature work is independent and the best
   /// split is reduced in fixed feature order, so the fitted tree is
-  /// bit-identical for any LUMOS_THREADS setting.
+  /// bit-identical for any LUMOS_THREADS setting. The node arrays are
+  /// trimmed to their final size on return.
   void fit(const std::vector<std::uint16_t>& codes, const BinMapper& mapper,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> indices, const TreeConfig& cfg,

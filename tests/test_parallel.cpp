@@ -10,12 +10,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/lumos5g.h"
 #include "data/features.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
@@ -163,15 +166,24 @@ TEST(Determinism, GbdtClassifierIdenticalAcrossThreadCounts) {
   ThreadPool::global().set_threads(1);
   ml::GbdtClassifier serial(cfg);
   serial.fit(built.x, built.y_cls, data::kNumThroughputClasses);
-  const auto p1 = serial.predict_all(built.x);
 
   ThreadPool::global().set_threads(8);
   ml::GbdtClassifier threaded(cfg);
   threaded.fit(built.x, built.y_cls, data::kNumThroughputClasses);
-  const auto p8 = threaded.predict_all(built.x);
   ThreadPool::global().set_threads(0);
 
-  EXPECT_EQ(p1, p8);
+  // The margins, not the argmax labels: a label cannot see a last-bit
+  // difference in a score.
+  for (std::size_t i = 0; i < built.x.rows(); ++i) {
+    const auto s1 = serial.decision_function(built.x.row(i));
+    const auto s8 = threaded.decision_function(built.x.row(i));
+    ASSERT_EQ(s1.size(), s8.size());
+    for (std::size_t c = 0; c < s1.size(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(s1[c]),
+                std::bit_cast<std::uint64_t>(s8[c]))
+          << "row " << i << " class " << c;
+    }
+  }
 }
 
 TEST(Determinism, RandomForestRegressorIdenticalAcrossThreadCounts) {
@@ -215,6 +227,132 @@ TEST(Determinism, RandomForestClassifierIdenticalAcrossThreadCounts) {
   ThreadPool::global().set_threads(0);
 
   EXPECT_EQ(p1, p8);
+}
+
+// ---------- the facade's concurrent per-tier fits ----------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+::testing::AssertionResult same_mapper(const ml::BinMapper& a,
+                                       const ml::BinMapper& b) {
+  if (a.max_bins() != b.max_bins() || a.n_features() != b.n_features()) {
+    return ::testing::AssertionFailure() << "mapper shape";
+  }
+  for (std::size_t f = 0; f < a.n_features(); ++f) {
+    const auto& ea = a.edges()[f];
+    const auto& eb = b.edges()[f];
+    if (!std::equal(ea.begin(), ea.end(), eb.begin(), eb.end(), same_bits)) {
+      return ::testing::AssertionFailure() << "mapper edges of feature " << f;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_trees(const std::vector<ml::GradientTree>& a,
+                                      const std::vector<ml::GradientTree>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "tree count " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    const auto& na = a[t].nodes();
+    const auto& nb = b[t].nodes();
+    if (na.size() != nb.size() || a[t].gains().size() != b[t].gains().size() ||
+        a[t].missing_code() != b[t].missing_code()) {
+      return ::testing::AssertionFailure() << "tree " << t << " shape";
+    }
+    for (std::size_t i = 0; i < na.size(); ++i) {
+      const auto& x = na[i];
+      const auto& y = nb[i];
+      if (x.feature != y.feature || x.bin != y.bin || x.left != y.left ||
+          x.right != y.right || x.default_left != y.default_left ||
+          !same_bits(x.threshold, y.threshold) ||
+          !same_bits(x.value, y.value) ||
+          !same_bits(a[t].gains()[i], b[t].gains()[i])) {
+        return ::testing::AssertionFailure()
+               << "tree " << t << " node " << i;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Every tier's trained flag, and every trained tier's regressor and
+/// classifier field by field, bit for bit.
+::testing::AssertionResult same_facade(const core::Lumos5G& a,
+                                       const core::Lumos5G& b) {
+  for (std::size_t i = 0; i < a.tier_specs().size(); ++i) {
+    if (a.tier_trained(i) != b.tier_trained(i)) {
+      return ::testing::AssertionFailure() << "tier " << i << " trained flag";
+    }
+    if (!a.tier_trained(i)) continue;
+    const auto& ra = a.tier_regressor(i);
+    const auto& rb = b.tier_regressor(i);
+    if (!same_bits(ra.base(), rb.base()) ||
+        ra.n_features() != rb.n_features()) {
+      return ::testing::AssertionFailure() << "tier " << i << " regressor base";
+    }
+    if (auto r = same_mapper(ra.mapper(), rb.mapper()); !r) {
+      return r << " (tier " << i << " regressor)";
+    }
+    if (auto r = same_trees(ra.trees(), rb.trees()); !r) {
+      return r << " (tier " << i << " regressor)";
+    }
+    const auto& ca = a.tier_classifier(i);
+    const auto& cb = b.tier_classifier(i);
+    if (ca.n_classes() != cb.n_classes() ||
+        ca.n_features() != cb.n_features() ||
+        !std::equal(ca.base().begin(), ca.base().end(), cb.base().begin(),
+                    cb.base().end(), same_bits)) {
+      return ::testing::AssertionFailure()
+             << "tier " << i << " classifier base";
+    }
+    if (auto r = same_mapper(ca.mapper(), cb.mapper()); !r) {
+      return r << " (tier " << i << " classifier)";
+    }
+    if (auto r = same_trees(ca.trees(), cb.trees()); !r) {
+      return r << " (tier " << i << " classifier)";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Determinism, Lumos5GTrainIdenticalAcrossThreadCounts) {
+  core::Lumos5GConfig cfg;
+  cfg.feature_spec = data::FeatureSetSpec::parse("T+M+C");
+  cfg.gbdt.n_estimators = 12;
+  cfg.gbdt.max_depth = 5;
+  cfg.gbdt.subsample = 0.8;  // each fit draws rows from its own Rng
+  const auto train_at = [&cfg](std::size_t threads, const data::Dataset& ds) {
+    ThreadPool::global().set_threads(threads);
+    core::Lumos5G f(cfg);
+    EXPECT_TRUE(f.train(ds).has_value());
+    return f;
+  };
+
+  // The Intersection campaign trains every tier of T+M+C → L+M+C → L+M.
+  // The Loop has no panel survey, so its T+M+C tier has no rows and only
+  // the two fits of each other tier run.
+  const auto intersection = sim::collect_area_dataset(
+      sim::make_intersection(), /*walk_runs=*/2, 0, 4242);
+  const auto loop =
+      sim::collect_area_dataset(sim::make_loop(), /*walk_runs=*/1, 0, 4243);
+  for (const data::Dataset* ds : {&intersection, &loop}) {
+    const core::Lumos5G serial = train_at(1, *ds);
+    ASSERT_EQ(serial.tier_specs().size(), 3u);
+    EXPECT_EQ(serial.tier_trained(0), ds == &intersection);
+    EXPECT_TRUE(serial.tier_trained(1));
+    EXPECT_TRUE(serial.tier_trained(2));
+    for (const std::size_t threads : {2, 8}) {
+      const core::Lumos5G threaded = train_at(threads, *ds);
+      EXPECT_TRUE(same_facade(serial, threaded))
+          << (ds == &intersection ? "Intersection" : "Loop") << " at "
+          << threads << " threads";
+    }
+  }
+  ThreadPool::global().set_threads(0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // reload of an identical artifact. Both must hold at any LUMOS_THREADS
 // (the suite runs pinned to 1 and 8 from CMake).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -821,8 +822,11 @@ TEST(Server, ReloadValidationFailureDoesNotRetry) {
   cfg.reload_backoff_ms = 10;
   Server server(make_predictor(), cfg, clock);
 
-  const auto dir =
-      std::filesystem::temp_directory_path() / "lumos_test_server_reload";
+  // Private to this process: ctest runs this binary under three
+  // LUMOS_THREADS registrations at once, and a fixed name would let one
+  // process overwrite or delete another's file mid-test.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lumos_test_server_reload." + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = dir / "bad.l5gm";
   std::string damaged = save_bytes(facade());
@@ -847,7 +851,8 @@ TEST(Server, ReloadFromFileSwapsAndBumpsGeneration) {
   ManualClock clock;
   Server server(make_predictor(), ServerConfig{}, clock);
   const auto dir =
-      std::filesystem::temp_directory_path() / "lumos_test_server_reload_ok";
+      std::filesystem::temp_directory_path() /
+      ("lumos_test_server_reload_ok." + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = dir / "model.l5gm";
   ASSERT_TRUE(write_artifact(path, save_bytes(facade())).has_value());

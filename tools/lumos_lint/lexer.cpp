@@ -121,7 +121,9 @@ LexedFile lex_file(const std::string& text) {
             }
           }
           if (ok && open != std::string::npos) {
-            raw_close = ")" + text.substr(q + 1, open - (q + 1)) + "\"";
+            raw_close.assign(1, ')');
+            raw_close.append(text, q + 1, open - (q + 1));
+            raw_close.push_back('"');
             st = St::kRaw;
             if (in_directive) dir.text.append("\"\"");
             i = open;  // prefix + delimiter dropped from both views
