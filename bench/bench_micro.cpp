@@ -504,21 +504,24 @@ void BM_ServerThroughput(benchmark::State& state) {
   }();
   const auto threads = static_cast<std::size_t>(state.range(0));
   ThreadPool::global().set_threads(threads);
+  serve::ServerConfig cfg;
+  cfg.queue_capacity = 64;
+  cfg.max_batch = 16;
+  std::vector<serve::Response> slots(cfg.max_batch);
   for (auto _ : state) {
     ManualClock clock;
-    serve::ServerConfig cfg;
-    cfg.queue_capacity = 64;
-    cfg.max_batch = 16;
     serve::Server server(serve::Predictor(serve_predictor()), cfg, clock);
     std::size_t i = 0;
     for (const auto& s : *stream) {
       benchmark::DoNotOptimize(server.submit({i % 16, s, 0}));
       if (++i % 16 == 0) {
         clock.advance_ms(1'000);
-        benchmark::DoNotOptimize(server.step());
+        benchmark::DoNotOptimize(server.poll(slots));
       }
     }
-    benchmark::DoNotOptimize(server.drain());
+    while (server.queue_depth() > 0) {
+      benchmark::DoNotOptimize(server.poll(slots));
+    }
   }
   ThreadPool::global().set_threads(0);
   const auto total = state.iterations() *
@@ -594,11 +597,11 @@ BENCHMARK(BM_ServerSessions)
     ->Arg(65536)
     ->Unit(benchmark::kMicrosecond);
 
-// The stall a hot reload inserts between serving steps: the word-at-a-time
-// envelope hash, load_predictor's parse straight into flat tiers (no
-// pointer trees, no compile step) and the swap, for a T+M+C facade
-// artifact already in memory (the disk read is BM-irrelevant and retried
-// I/O is a policy knob, not a hot path).
+// The stall a hot reload inserts between polls: the word-at-a-time
+// envelope hash, load_predictor's checked read of the stored 16-byte
+// serving nodes (no pointer trees, no compile step) and the swap, for a
+// T+M+C facade artifact already in memory (the disk read is BM-irrelevant
+// and retried I/O is a policy knob, not a hot path).
 void BM_ServerReloadStall(benchmark::State& state) {
   static const std::string* bytes =
       new std::string(serve::save_bytes(serve_facade()));

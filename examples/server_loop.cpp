@@ -4,7 +4,7 @@
 //
 //   1. Train a per-area model and compile it into a serve::Server with a
 //      bounded queue, deadlines, watermark degradation, and session LRU/TTL.
-//   2. Pump steady per-UE traffic through submit()/step() and watch the
+//   2. Pump steady per-UE traffic through submit()/poll() and watch the
 //      tier column: under calm load everything answers from tier 0.
 //   3. Flood the queue past the degrade watermarks: the same UEs are now
 //      answered from cheaper tiers (reported honestly), and past the shed
@@ -19,7 +19,9 @@
 // Build & run:  ./examples/server_loop
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "core/lumos5g.h"
@@ -59,6 +61,12 @@ int main() {
   cfg.max_sessions = 8;
   ManualClock clock;
   serve::Server server(std::move(*predictor), cfg, clock);
+  // Each poll() answers up to max_batch requests into these slots, owned
+  // here and reused, so the serving loop itself never allocates.
+  std::vector<serve::Response> slots(cfg.max_batch);
+  const auto poll = [&] {
+    return std::span<const serve::Response>(slots.data(), server.poll(slots));
+  };
 
   const auto runs = ds.runs();
   // Each UE replays its own run in order, so session windows see forward
@@ -74,7 +82,7 @@ int main() {
   for (std::size_t t = 0; t < 32; ++t) {
     clock.advance_ms(1'000);
     (void)server.submit({t % 4, sample_for(t % 4), 0});
-    (void)server.step();
+    (void)poll();
   }
 
   // 2. Calm traffic: one UE request per virtual second, served immediately.
@@ -82,7 +90,7 @@ int main() {
   for (std::size_t t = 0; t < 8; ++t) {
     clock.advance_ms(1'000);
     (void)server.submit({t % 4, sample_for(t % 4), 0});
-    for (const auto& r : server.step()) {
+    for (const auto& r : poll()) {
       if (r.result) {
         std::printf("  tick %zu  ue%ju  %7.0f Mbps  tier %d  floor %zu\n", t,
                     static_cast<std::uintmax_t>(r.ue_id),
@@ -101,7 +109,7 @@ int main() {
   std::printf("  queue %zu deep, %zu shed as kOverloaded\n",
               server.queue_depth(), shed);
   while (server.queue_depth() > 0) {
-    for (const auto& r : server.step()) {
+    for (const auto& r : poll()) {
       if (r.result) {
         std::printf("  ue%ju  %7.0f Mbps  tier %d  (floor was %zu)\n",
                     static_cast<std::uintmax_t>(r.ue_id),

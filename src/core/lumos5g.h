@@ -52,7 +52,7 @@ struct Lumos5GConfig {
 /// The fallback tier chain a config derives, most capable first (tier 0
 /// is always `primary`): drop T, adding L, then drop C — or the explicit
 /// FallbackConfig::tiers. Lumos5G builds its chain with it, and the
-/// artifact loaders re-derive it to check a stored tier count.
+/// artifact reader re-derives it to check a stored tier count.
 [[nodiscard]] std::vector<data::FeatureSetSpec> derive_tiers(
     const data::FeatureSetSpec& primary, const FallbackConfig& fb);
 
@@ -111,24 +111,14 @@ class Lumos5G {
 
   const Lumos5GConfig& config() const noexcept { return cfg_; }
 
-  // --- fitted-state access for serialization (serve/model_io) ---
+  // --- fitted-state access for flattening (serve::Predictor::compile)
+  // and tests ---
   /// Models of tier `i`; only meaningful when tier_trained(i).
   const ml::GbdtRegressor& tier_regressor(std::size_t i) const noexcept {
     return tiers_[i].regressor;
   }
   const ml::GbdtClassifier& tier_classifier(std::size_t i) const noexcept {
     return tiers_[i].classifier;
-  }
-
-  /// Reinstates tier `i` from deserialized models and marks it trained.
-  /// The facade must have been constructed with the same config that was
-  /// saved, so the tier chain (and feature names) line up.
-  void restore_tier(std::size_t i, ml::GbdtRegressor regressor,
-                    ml::GbdtClassifier classifier) {
-    tiers_[i].regressor = std::move(regressor);
-    tiers_[i].classifier = std::move(classifier);
-    tiers_[i].trained = true;
-    trained_ = true;
   }
 
   /// Minimum usable feature rows for a tier to be trainable.

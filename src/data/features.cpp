@@ -170,13 +170,18 @@ std::vector<std::uint32_t> run_segments(const Dataset& ds,
 
 }  // namespace
 
+const char* feature_config_error(const FeatureConfig& cfg) noexcept {
+  if (cfg.throughput_lags < 1 || cfg.throughput_lags > kMaxThroughputLags) {
+    return "throughput_lags must be in [1, kMaxThroughputLags]";
+  }
+  if (cfg.horizon < 1) return "horizon must be >= 1";
+  return nullptr;
+}
+
 BuiltFeatures build_features(const Dataset& ds, const FeatureSetSpec& spec,
                              const FeatureConfig& cfg) {
-  if (cfg.throughput_lags < 1) {
-    throw std::invalid_argument("build_features: throughput_lags must be >= 1");
-  }
-  if (cfg.horizon < 1) {
-    throw std::invalid_argument("build_features: horizon must be >= 1");
+  if (const char* why = feature_config_error(cfg)) {
+    throw std::invalid_argument(std::string("build_features: ") + why);
   }
   BuiltFeatures out;
   out.feature_names = feature_names(spec, cfg);

@@ -48,6 +48,18 @@ struct FeatureConfig {
   double max_gap_s = 0.0;
 };
 
+/// Largest accepted FeatureConfig::throughput_lags: far above any lag
+/// count the experiments use (20), and small enough that a feature row
+/// stays a few KiB.
+inline constexpr int kMaxThroughputLags = 1024;
+
+/// The one validity rule for a FeatureConfig: 1 <= throughput_lags <=
+/// kMaxThroughputLags and horizon >= 1. Returns the broken rule, or
+/// nullptr when the config is valid. build_features throws on it and the
+/// artifact reader (serve::load_predictor) answers kParseError.
+[[nodiscard]] const char* feature_config_error(
+    const FeatureConfig& cfg) noexcept;
+
 /// Classifies a throughput value into {0: low, 1: medium, 2: high}.
 [[nodiscard]] int throughput_class(double mbps,
                                    const FeatureConfig& cfg) noexcept;
@@ -64,11 +76,12 @@ struct BuiltFeatures {
   std::vector<std::size_t> source_index;
 };
 
-/// Builds per-sample features. Samples whose run is too short for the
-/// configured lags/horizon are skipped; if `spec.T` is set, samples without
-/// panel geometry are skipped too (paper: no T results for the Loop area).
-/// With cfg.max_gap_s > 0, windows that would straddle a timestamp
-/// discontinuity are skipped as well.
+/// Builds per-sample features. Throws std::invalid_argument when
+/// feature_config_error(cfg) names a broken rule. Samples whose run is too
+/// short for the configured lags/horizon are skipped; if `spec.T` is set,
+/// samples without panel geometry are skipped too (paper: no T results for
+/// the Loop area). With cfg.max_gap_s > 0, windows that would straddle a
+/// timestamp discontinuity are skipped as well.
 [[nodiscard]] BuiltFeatures build_features(
     const Dataset& ds, const FeatureSetSpec& spec,
                              const FeatureConfig& cfg = {});

@@ -35,20 +35,11 @@ class GbdtRegressor final : public Regressor {
 
   const GbdtConfig& config() const noexcept { return cfg_; }
 
-  // --- fitted-state access for serialization / flattening (serve/) ---
+  // --- fitted-state access for flattening (serve::FlatForest) and tests ---
   const BinMapper& mapper() const noexcept { return mapper_; }
   double base() const noexcept { return base_; }
   const std::vector<GradientTree>& trees() const noexcept { return trees_; }
   std::size_t n_features() const noexcept { return n_features_; }
-
-  /// Reinstates a fitted model from its serialized parts (serve/model_io).
-  void restore(BinMapper mapper, double base, std::vector<GradientTree> trees,
-               std::size_t n_features) {
-    mapper_ = std::move(mapper);
-    base_ = base;
-    trees_ = std::move(trees);
-    n_features_ = n_features;
-  }
 
  private:
   GbdtConfig cfg_;
@@ -74,23 +65,13 @@ class GbdtClassifier final : public Classifier {
 
   const GbdtConfig& config() const noexcept { return cfg_; }
 
-  // --- fitted-state access for serialization / flattening (serve/) ---
+  // --- fitted-state access for flattening (serve::FlatClassifier) and tests ---
   const BinMapper& mapper() const noexcept { return mapper_; }
   int n_classes() const noexcept { return n_classes_; }
   const std::vector<double>& base() const noexcept { return base_; }
   /// trees()[stage * n_classes() + c] is stage `stage`'s tree for class c.
   const std::vector<GradientTree>& trees() const noexcept { return trees_; }
   std::size_t n_features() const noexcept { return n_features_; }
-
-  /// Reinstates a fitted model from its serialized parts (serve/model_io).
-  void restore(BinMapper mapper, int n_classes, std::vector<double> base,
-               std::vector<GradientTree> trees, std::size_t n_features) {
-    mapper_ = std::move(mapper);
-    n_classes_ = n_classes;
-    base_ = std::move(base);
-    trees_ = std::move(trees);
-    n_features_ = n_features;
-  }
 
  private:
   GbdtConfig cfg_;

@@ -51,15 +51,9 @@ class BinMapper {
   std::size_t n_features() const noexcept { return edges_.size(); }
   int max_bins() const noexcept { return max_bins_; }
 
-  /// Per-feature cut points, exposed for serialization (serve/model_io).
+  /// Per-feature cut points, exposed for tests (training determinism).
   const std::vector<std::vector<double>>& edges() const noexcept {
     return edges_;
-  }
-
-  /// Reinstates a fitted mapper from its serialized parts (serve/model_io).
-  void restore(std::vector<std::vector<double>> edges, int max_bins) {
-    edges_ = std::move(edges);
-    max_bins_ = max_bins;
   }
 
  private:
@@ -160,23 +154,13 @@ class GradientTree {
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
   bool empty() const noexcept { return nodes_.empty(); }
 
-  /// Per-node split gains, aligned with nodes() (0 at leaves). Exposed for
-  /// serialization (serve/model_io) so a reloaded tree keeps reporting the
-  /// same feature importances.
+  /// Per-node split gains, aligned with nodes() (0 at leaves); exposed
+  /// for tests (training determinism).
   const std::vector<double>& gains() const noexcept { return gains_; }
 
   /// The missing-value bin code this tree was fit against (needed by
-  /// predict_binned and by the flattened serving layout).
+  /// predict_binned).
   std::uint16_t missing_code() const noexcept { return missing_code_; }
-
-  /// Reinstates a fitted tree from its serialized parts (serve/model_io).
-  /// `gains` must be the same length as `nodes`.
-  void restore(std::vector<Node> nodes, std::vector<double> gains,
-               std::uint16_t missing_code) {
-    nodes_ = std::move(nodes);
-    gains_ = std::move(gains);
-    missing_code_ = missing_code;
-  }
 
  private:
   struct Split {

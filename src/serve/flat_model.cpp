@@ -10,10 +10,7 @@ namespace {
 
 /// Appends one tree to `out` in adjacent-children order and returns its
 /// root index. Works for any source node ordering: an explicit worklist
-/// rewrites parent→child links as the pair slots are allocated. For a
-/// tree whose children already sit in adjacent pairs in LIFO order — what
-/// GradientTree::fit builds — the worklist visits nodes in stored order,
-/// so node i lands at root + i (the artifact loader's one linear copy).
+/// rewrites parent→child links as the pair slots are allocated.
 std::uint32_t flatten_tree(const ml::GradientTree& tree,
                            std::vector<FlatNode>& out) {
   const auto& src = tree.nodes();

@@ -14,10 +14,10 @@
 // tests/test_serve.cpp).
 //
 // Two builders exist, and only two: flatten() from fitted pointer trees
-// (Predictor::compile), and the artifact loader (serve::load_predictor),
-// which parses node records straight into these arrays after checking
-// each one. Both reach the node arrays through private constructors, so
-// no unvalidated node array can reach the walk.
+// (Predictor::compile), and the artifact reader (serve::load_predictor),
+// which reads the 16-byte node records save_bytes stored from flatten()'s
+// arrays and checks each one. Both reach the node arrays through private
+// constructors, so no unvalidated node array can reach the walk.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +105,12 @@ class FlatForest {
   std::size_t n_trees() const noexcept { return roots_.size(); }
   std::size_t n_nodes() const noexcept { return nodes_.size(); }
 
+  // --- the stored form (serve::save_bytes writes exactly these) ---
+  std::span<const FlatNode> nodes() const noexcept { return nodes_; }
+  std::span<const std::uint32_t> roots() const noexcept { return roots_; }
+  double base() const noexcept { return base_; }
+  double scale() const noexcept { return scale_; }
+
  private:
   friend class FlatClassifier;
   friend Expected<Predictor> load_predictor(std::string_view bytes);
@@ -155,6 +161,9 @@ class FlatClassifier {
 
   int n_classes() const noexcept { return static_cast<int>(per_class_.size()); }
   std::size_t n_nodes() const noexcept;
+
+  /// One forest per class, in class order (serve::save_bytes stores them).
+  std::span<const FlatForest> per_class() const noexcept { return per_class_; }
 
   /// Every class forest's per-tree scale: GbdtClassifier folds stages as
   /// base[c] + learning_rate * (k - 1) / k * tree(stage, c).

@@ -6,12 +6,10 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "data/features.h"
-#include "ml/gbdt.h"
 #include "serve/flat_model.h"
 #include "serve/predictor.h"
 
@@ -21,11 +19,10 @@ namespace {
 constexpr std::size_t kHeaderSize = 4 + 4 + 1 + 8;  // magic, version, kind, size
 constexpr std::size_t kSizeAt = 9;                  // offset of the size field
 constexpr std::size_t kHashSize = 8;
-/// One tree node record: feature, threshold, bin, left, right, value,
-/// default_left.
-constexpr std::size_t kNodeBytes = 4 + 8 + 4 + 4 + 4 + 8 + 1;
-/// The smallest tree record: a zero node count and the missing code.
-constexpr std::size_t kMinTreeBytes = 8 + 2;
+/// One FlatNode record: value, feature, left.
+constexpr std::size_t kNodeBytes = 8 + 4 + 4;
+/// The smallest forest record: base, scale and two zero counts.
+constexpr std::size_t kMinForestBytes = 8 + 8 + 8 + 8;
 
 // ---------------------------------------------------------------------------
 // Words. The one definition of the on-disk byte order: an N-byte field is
@@ -60,7 +57,7 @@ void store_le(char* p, std::uint64_t v) noexcept {
   }
 }
 
-/// The v2 envelope hash. Four independent lanes each absorb every fourth
+/// The envelope hash (since v2). Four independent lanes each absorb every fourth
 /// 8-byte word with one multiply-rotate round,
 ///   lane = rotl(lane + word * kWordMul, 31) * kLaneMul,
 /// the last 0-7 bytes enter as one zero-padded word, and the four lanes
@@ -106,7 +103,6 @@ class Writer {
 
   void raw(const char* p, std::size_t n) { buf_.append(p, n); }
   void u8(std::uint8_t v) { word<1>(v); }
-  void u16(std::uint16_t v) { word<2>(v); }
   void u32(std::uint32_t v) { word<4>(v); }
   void u64(std::uint64_t v) { word<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
@@ -154,20 +150,22 @@ class Reader {
   }
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(word<1>()); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(word<2>()); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(word<4>()); }
   std::uint64_t u64() { return word<8>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
 
-  /// Steps over `n` bytes the caller does not build.
-  void skip(std::size_t n) noexcept {
+  /// The next `n` bytes, consumed whole — or nullptr, recording the
+  /// failure, when fewer remain.
+  const char* bytes(std::size_t n) noexcept {
     if (!ok() || remaining() < n) {
       fail(kShort);
-      return;
+      return nullptr;
     }
+    const char* p = d_.data() + pos_;
     pos_ += n;
+    return p;
   }
 
   /// Reads an element count and rejects it when even minimally-sized
@@ -205,271 +203,10 @@ Error parse_error(std::string message) {
 }
 
 // ---------------------------------------------------------------------------
-// Component writers and readers. Every rule a payload must satisfy has one
-// definition below, called by both loaders — load_lumos5g, which builds
-// the facade's pointer models, and load_predictor, which parses straight
-// into flat node arrays — so the two cannot drift apart.
+// Payload writers and readers. The payload is the serving snapshot: the
+// config block, then per trained tier the FlatForest/FlatClassifier node
+// arrays that Predictor::compile builds and FlatForest::eval_block walks.
 // ---------------------------------------------------------------------------
-
-void write_gbdt_config(Writer& w, const ml::GbdtConfig& c) {
-  w.u64(c.n_estimators);
-  w.i32(c.max_depth);
-  w.f64(c.learning_rate);
-  w.u64(c.min_samples_leaf);
-  w.f64(c.lambda);
-  w.i32(c.n_bins);
-  w.f64(c.subsample);
-  w.u64(c.seed);
-}
-
-ml::GbdtConfig read_gbdt_config(Reader& r) {
-  ml::GbdtConfig c;
-  c.n_estimators = static_cast<std::size_t>(r.u64());
-  c.max_depth = r.i32();
-  c.learning_rate = r.f64();
-  c.min_samples_leaf = static_cast<std::size_t>(r.u64());
-  c.lambda = r.f64();
-  c.n_bins = r.i32();
-  c.subsample = r.f64();
-  c.seed = r.u64();
-  return c;
-}
-
-void write_mapper(Writer& w, const ml::BinMapper& m) {
-  w.i32(m.max_bins());
-  w.u64(m.n_features());
-  for (const auto& e : m.edges()) {
-    w.u64(e.size());
-    for (const double v : e) w.f64(v);
-  }
-}
-
-/// Reads a bin mapper into `out` — or, when `out` is null (the serving
-/// loader walks raw feature values, never bin codes), bounds-checks it and
-/// steps over it without building anything.
-bool read_mapper(Reader& r, ml::BinMapper* out) {
-  const std::int32_t max_bins = r.i32();
-  const std::size_t d = r.count(8);
-  std::vector<std::vector<double>> edges(out != nullptr ? d : 0);
-  for (std::size_t f = 0; f < d; ++f) {
-    const std::size_t n = r.count(8);
-    if (out == nullptr) {
-      r.skip(8 * n);
-      continue;
-    }
-    edges[f].resize(n);
-    for (double& v : edges[f]) v = r.f64();
-  }
-  if (max_bins < 0) return r.fail("negative mapper bin count");
-  if (!r.ok()) return false;
-  if (out != nullptr) out->restore(std::move(edges), max_bins);
-  return true;
-}
-
-void write_tree(Writer& w, const ml::GradientTree& t) {
-  w.u64(t.nodes().size());
-  for (const auto& n : t.nodes()) {
-    w.i32(n.feature);
-    w.f64(n.threshold);
-    w.i32(n.bin);
-    w.i32(n.left);
-    w.i32(n.right);
-    w.f64(n.value);
-    w.boolean(n.default_left);
-  }
-  for (const double g : t.gains()) w.f64(g);
-  w.u16(t.missing_code());
-}
-
-ml::GradientTree::Node read_node(Reader& r) {
-  ml::GradientTree::Node n;
-  n.feature = r.i32();
-  n.threshold = r.f64();
-  n.bin = r.i32();
-  n.left = r.i32();
-  n.right = r.i32();
-  n.value = r.f64();
-  n.default_left = r.boolean();
-  return n;
-}
-
-/// The per-node rule. A leaf (negative feature) has no children. A split
-/// names a feature below the tier's row width and a bin code in range,
-/// and its children are adjacent (right == left + 1, the pairs
-/// GradientTree::fit allocates, so the flat copy needs no relinking),
-/// forward (so every walk terminates) and inside the tree.
-bool check_node(Reader& r, const ml::GradientTree::Node& node, std::size_t i,
-                std::size_t n_nodes, std::size_t width) {
-  if (node.feature < 0) {
-    return (node.left == -1 && node.right == -1) ||
-           r.fail("leaf node with children");
-  }
-  if (static_cast<std::size_t>(node.feature) >= width) {
-    return r.fail("split feature outside its tier's feature row");
-  }
-  if (node.bin < 0 || node.bin > 0xFFFF) {
-    return r.fail("split bin code out of range");
-  }
-  const std::int64_t left = node.left;
-  if (static_cast<std::int64_t>(node.right) != left + 1) {
-    return r.fail("split children not adjacent (right != left + 1)");
-  }
-  if (left <= static_cast<std::int64_t>(i) ||
-      left + 1 >= static_cast<std::int64_t>(n_nodes)) {
-    return r.fail("split children not forward and in range");
-  }
-  return true;
-}
-
-/// One pointer tree (load_lumos5g). Node count 0 is legal: an unfit tree
-/// predicts 0.0.
-bool read_tree(Reader& r, std::size_t width, ml::GradientTree& out) {
-  const std::size_t n = r.count(kNodeBytes);
-  std::vector<ml::GradientTree::Node> nodes(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes[i] = read_node(r);
-    if (!check_node(r, nodes[i], i, n, width)) return false;
-  }
-  std::vector<double> gains(n);
-  for (double& g : gains) g = r.f64();
-  const std::uint16_t missing = r.u16();
-  if (!r.ok()) return false;
-  out.restore(std::move(nodes), std::move(gains), missing);
-  return true;
-}
-
-/// The per-tier width rule: a tier's models must declare exactly its
-/// row's feature width (data::feature_width), or a crafted split could
-/// make serving read past the row.
-bool read_width(Reader& r, std::size_t width) {
-  return r.u64() == width ||
-         r.fail("model width disagrees with its tier's feature row");
-}
-
-/// What a GBDT payload stores before its trees. A regressor has one base
-/// score; a classifier one per class and a multiple of its class count in
-/// trees, interleaved [stage * n_classes + c].
-struct ModelHead {
-  ml::GbdtConfig cfg;
-  std::vector<double> base;
-  std::size_t n_trees = 0;
-};
-
-bool read_head(Reader& r, std::size_t width, bool classifier,
-               ml::BinMapper* mapper, ModelHead& out) {
-  out.cfg = read_gbdt_config(r);
-  if (!read_width(r, width)) return false;
-  std::size_t n_base = 1;
-  if (classifier) {
-    const std::int32_t n_classes = r.i32();
-    if (!r.ok()) return false;
-    if (n_classes < 0 || static_cast<std::size_t>(n_classes) > r.remaining() / 8) {
-      return r.fail("classifier class count out of range");
-    }
-    n_base = static_cast<std::size_t>(n_classes);
-  }
-  out.base.resize(n_base);
-  for (double& b : out.base) b = r.f64();
-  if (!read_mapper(r, mapper)) return false;
-  out.n_trees = r.count(kMinTreeBytes);
-  if (classifier && (n_base == 0 ? out.n_trees != 0 : out.n_trees % n_base != 0)) {
-    return r.fail("classifier tree count is not a multiple of its classes");
-  }
-  return r.ok();
-}
-
-/// One tier's regressor and classifier as the facade's pointer models.
-bool read_pointer_tier(Reader& r, std::size_t width, ml::GbdtRegressor& reg,
-                       ml::GbdtClassifier& cls) {
-  ModelHead head[2];  // regressor, classifier
-  ml::BinMapper mapper[2];
-  std::vector<ml::GradientTree> trees[2];
-  for (int m = 0; m < 2; ++m) {
-    if (!read_head(r, width, m == 1, &mapper[m], head[m])) return false;
-    trees[m].resize(head[m].n_trees);
-    for (ml::GradientTree& t : trees[m]) {
-      if (!read_tree(r, width, t)) return false;
-    }
-  }
-  reg = ml::GbdtRegressor(head[0].cfg);
-  reg.restore(std::move(mapper[0]), head[0].base.front(), std::move(trees[0]),
-              width);
-  const auto n_classes = static_cast<int>(head[1].base.size());
-  cls = ml::GbdtClassifier(head[1].cfg);
-  cls.restore(std::move(mapper[1]), n_classes, std::move(head[1].base),
-              std::move(trees[1]), width);
-  return true;
-}
-
-/// One flat forest of a model, parsed straight from its tree records.
-struct FlatParts {
-  std::vector<FlatNode> nodes;
-  std::vector<std::uint32_t> roots;
-  double base = 0.0;
-  double scale = 1.0;
-};
-
-/// Parses `n_trees` tree records into `forests`, tree t into forest
-/// t % forests.size() (one forest per regressor, one per class). Each
-/// tree is one linear copy — node i lands at root + i, its left child at
-/// root + left — because the per-node rule guarantees adjacent pairs.
-/// Split gains and missing codes are bounds-checked and skipped.
-bool read_flat_trees(Reader& r, std::size_t n_trees, std::size_t width,
-                     std::span<FlatParts> forests) {
-  if (n_trees == 0) return r.ok();
-  const std::size_t k = forests.size();
-  {
-    // Size every array exactly, from one pass over the tree records'
-    // node counts, so a reload holds no spare capacity.
-    Reader scan = r;
-    std::vector<std::size_t> total(k, 0);
-    for (std::size_t t = 0; t < n_trees; ++t) {
-      const std::size_t n = scan.count(kNodeBytes);
-      scan.skip(n * (kNodeBytes + 8) + 2);
-      total[t % k] += std::max<std::size_t>(n, 1);
-    }
-    for (std::size_t f = 0; f < k; ++f) {
-      forests[f].nodes.reserve(total[f]);
-      forests[f].roots.reserve((n_trees + k - 1) / k);
-    }
-  }
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    FlatParts& forest = forests[t % k];
-    const std::size_t n = r.count(kNodeBytes);
-    const std::size_t root = forest.nodes.size();
-    // Every flat index must fit the 31-bit child field.
-    if (std::max<std::size_t>(n, 1) > FlatNode::kChildMask - root) {
-      return r.fail("flat forest exceeds the 31-bit child index");
-    }
-    forest.roots.push_back(static_cast<std::uint32_t>(root));
-    if (n == 0) forest.nodes.push_back(FlatNode{});  // unfit tree: 0.0 leaf
-    for (std::size_t i = 0; i < n; ++i) {
-      const ml::GradientTree::Node node = read_node(r);
-      if (!check_node(r, node, i, n, width)) return false;
-      const auto left =
-          node.feature < 0 ? 0U : static_cast<std::uint32_t>(root + node.left);
-      forest.nodes.push_back(FlatNode::from(node, left));
-    }
-    r.skip(8 * n + 2);
-  }
-  return r.ok();
-}
-
-/// One model's flat forests (load_predictor): the regressor as one forest
-/// of base + learning_rate * Σ trees, a classifier as one per class.
-bool read_flat_model(Reader& r, std::size_t width, bool classifier,
-                     std::vector<FlatParts>& out) {
-  ModelHead head;
-  if (!read_head(r, width, classifier, nullptr, head)) return false;
-  const double lr = head.cfg.learning_rate;
-  const auto n_classes = static_cast<int>(head.base.size());
-  out.resize(head.base.size());
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    out[c].base = head.base[c];
-    out[c].scale = classifier ? FlatClassifier::class_scale(lr, n_classes) : lr;
-  }
-  return read_flat_trees(r, head.n_trees, width, out);
-}
 
 void write_spec(Writer& w, const data::FeatureSetSpec& s) {
   w.boolean(s.L);
@@ -524,52 +261,78 @@ core::FallbackConfig read_fallback_config(Reader& r) {
   return c;
 }
 
-// --- the Lumos5G payload --------------------------------------------------
-
-void write_gbdt_regressor_payload(Writer& w, const ml::GbdtRegressor& m) {
-  write_gbdt_config(w, m.config());
-  w.u64(m.n_features());
-  w.f64(m.base());
-  write_mapper(w, m.mapper());
-  w.u64(m.trees().size());
-  for (const auto& t : m.trees()) write_tree(w, t);
+/// A forest record's size, for save_bytes to reserve its buffer once.
+std::size_t forest_bytes(const FlatForest& f) noexcept {
+  return kMinForestBytes + 4 * f.roots().size() + kNodeBytes * f.nodes().size();
 }
 
-void write_gbdt_classifier_payload(Writer& w, const ml::GbdtClassifier& m) {
-  write_gbdt_config(w, m.config());
-  w.u64(m.n_features());
-  w.i32(m.n_classes());
-  for (const double b : m.base()) w.f64(b);
-  write_mapper(w, m.mapper());
-  w.u64(m.trees().size());
-  for (const auto& t : m.trees()) write_tree(w, t);
-}
-
-void write_lumos5g_payload(Writer& w, const core::Lumos5G& m) {
-  const core::Lumos5GConfig& cfg = m.config();
-  write_spec(w, cfg.feature_spec);
-  write_feature_config(w, cfg.features);
-  write_gbdt_config(w, cfg.gbdt);
-  write_fallback_config(w, cfg.fallback);
-  w.u64(m.tier_specs().size());
-  for (std::size_t i = 0; i < m.tier_specs().size(); ++i) {
-    w.boolean(m.tier_trained(i));
-    if (m.tier_trained(i)) {
-      write_gbdt_regressor_payload(w, m.tier_regressor(i));
-      write_gbdt_classifier_payload(w, m.tier_classifier(i));
-    }
+void write_forest(Writer& w, const FlatForest& f) {
+  w.f64(f.base());
+  w.f64(f.scale());
+  w.u64(f.roots().size());
+  w.u64(f.nodes().size());
+  for (const std::uint32_t root : f.roots()) w.u32(root);
+  for (const FlatNode& n : f.nodes()) {
+    w.f64(n.value);
+    w.i32(n.feature);
+    w.u32(n.left);
   }
 }
 
-/// A GBDT payload's size, for save_bytes to reserve its buffer once: the
-/// trees and mapper edges exactly, the fixed-size fields within the slack.
-std::size_t payload_hint(const auto& model) {
-  std::size_t n = 256;
-  for (const auto& e : model.mapper().edges()) n += 8 + 8 * e.size();
-  for (const auto& t : model.trees()) {
-    n += kMinTreeBytes + t.nodes().size() * (kNodeBytes + 8);
+/// The per-node rule. A leaf is feature -1. A split names a feature below
+/// the tier's row width, and its left child comes after it with the right
+/// child (left + 1) still inside the forest — so every walk moves forward
+/// and ends on a leaf inside `n_nodes`.
+bool check_node(Reader& r, const FlatNode& node, std::size_t i,
+                std::size_t n_nodes, std::size_t width) {
+  if (node.feature == -1) return true;
+  if (node.feature < 0 || static_cast<std::size_t>(node.feature) >= width) {
+    return r.fail("split feature outside its tier's feature row");
   }
-  return n;
+  const std::size_t left = node.left & FlatNode::kChildMask;
+  if (left <= i || left + 1 >= n_nodes) {
+    return r.fail("split children not after it and inside its forest");
+  }
+  return true;
+}
+
+/// One forest's parts, checked, for load_predictor to move into the
+/// private FlatForest constructor.
+struct FlatParts {
+  std::vector<FlatNode> nodes;
+  std::vector<std::uint32_t> roots;
+  double base = 0.0;
+  double scale = 1.0;
+};
+
+/// Reads one forest record into arrays sized from its stored counts:
+/// every index must fit the 31-bit child field, every root must lie
+/// inside the forest, and every node must pass check_node.
+bool read_forest(Reader& r, std::size_t width, FlatParts& out) {
+  out.base = r.f64();
+  out.scale = r.f64();
+  const std::size_t n_roots = r.count(4);
+  const std::size_t n_nodes = r.count(kNodeBytes);
+  if (!r.ok()) return false;
+  if (n_nodes > FlatNode::kChildMask) {
+    return r.fail("forest exceeds the 31-bit child index");
+  }
+  out.roots.resize(n_roots);
+  for (std::uint32_t& root : out.roots) {
+    root = r.u32();
+    if (root >= n_nodes) return r.fail("tree root outside its forest");
+  }
+  const char* p = r.bytes(kNodeBytes * n_nodes);
+  if (p == nullptr) return false;
+  out.nodes.resize(n_nodes);
+  for (std::size_t i = 0; i < n_nodes; ++i, p += kNodeBytes) {
+    FlatNode& node = out.nodes[i];
+    node.value = std::bit_cast<double>(load_le<8>(p));
+    node.feature = static_cast<std::int32_t>(load_le<4>(p + 8));
+    node.left = static_cast<std::uint32_t>(load_le<4>(p + 12));
+    if (!check_node(r, node, i, n_nodes, width)) return false;
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -630,41 +393,94 @@ Expected<std::string_view> check_envelope(std::string_view bytes) {
   return bytes.substr(kHeaderSize, hash_at - kHeaderSize);
 }
 
-/// An artifact up to its first tier record.
-struct Opened {
-  Reader r;  ///< positioned at the first tier record
-  core::Lumos5GConfig cfg;
-  std::vector<data::FeatureSetSpec> chain;  ///< derived from cfg
-};
-
-/// Everything before the first tier record, for both loaders: the
-/// envelope, the config block, and the stored tier count against the
-/// chain the config derives (so an artifact cannot silently rebind
-/// tiers).
-Expected<Opened> open_artifact(std::string_view bytes) {
-  const auto payload = check_envelope(bytes);
-  if (!payload) return payload.error();
-  Opened o{Reader(*payload), {}, {}};
-  o.cfg.feature_spec = read_spec(o.r);
-  o.cfg.features = read_feature_config(o.r);
-  o.cfg.gbdt = read_gbdt_config(o.r);
-  o.cfg.fallback = read_fallback_config(o.r);
-  if (!o.r.ok()) return parse_error("malformed lumos5g config block");
-  o.chain = core::derive_tiers(o.cfg.feature_spec, o.cfg.fallback);
-  if (o.r.count(1) != o.chain.size() || !o.r.ok()) {
-    return parse_error("stored tier count disagrees with the tier chain "
-                       "derived from the stored config");
-  }
-  return o;
-}
-
 Error tier_error(const Reader& r, std::size_t tier) {
   return parse_error("malformed models for tier " + std::to_string(tier) +
                      ": " + r.why());
 }
 
-/// The last rule: the payload ends exactly where its last tier does.
-Expected<void> finish(const Reader& r) {
+}  // namespace
+
+std::string save_bytes(const core::Lumos5G& model) {
+  // The node arrays compile builds; an untrained facade (kNotTrained)
+  // stores every tier untrained.
+  const auto snapshot = Predictor::compile(model);
+  const auto stored = [&snapshot](std::size_t i) {
+    return snapshot.has_value() && snapshot->tier_compiled(i);
+  };
+  const std::size_t n_tiers = model.tier_specs().size();
+  std::size_t size = kHeaderSize + 1024 + kHashSize;  // + config and counts
+  for (std::size_t i = 0; i < n_tiers; ++i) {
+    if (!stored(i)) continue;
+    size += forest_bytes(snapshot->tier_regressor(i));
+    for (const FlatForest& c : snapshot->tier_classifier(i).per_class()) {
+      size += forest_bytes(c);
+    }
+  }
+  Writer w(size);
+  w.raw(kMagic, sizeof(kMagic));
+  w.u32(kFormatVersion);
+  w.u8(static_cast<std::uint8_t>(ModelKind::kLumos5G));
+  w.u64(0);  // total size: patched once the payload is written
+  const core::Lumos5GConfig& cfg = model.config();
+  write_spec(w, cfg.feature_spec);
+  write_feature_config(w, cfg.features);
+  write_fallback_config(w, cfg.fallback);
+  w.u64(n_tiers);
+  for (std::size_t i = 0; i < n_tiers; ++i) {
+    w.boolean(stored(i));
+    if (!stored(i)) continue;
+    write_forest(w, snapshot->tier_regressor(i));
+    const auto classes = snapshot->tier_classifier(i).per_class();
+    w.u64(classes.size());
+    for (const FlatForest& c : classes) write_forest(w, c);
+  }
+  w.patch_u64(kSizeAt, w.size() + kHashSize);
+  w.u64(artifact_hash(w.view()));
+  return w.take();
+}
+
+Expected<Predictor> load_predictor(std::string_view bytes) {
+  const auto payload = check_envelope(bytes);
+  if (!payload) return payload.error();
+  Reader r(*payload);
+  const data::FeatureSetSpec spec = read_spec(r);
+  const data::FeatureConfig features = read_feature_config(r);
+  core::FallbackConfig fallback = read_fallback_config(r);
+  if (!r.ok()) return parse_error("malformed lumos5g config block");
+  if (const char* why = data::feature_config_error(features)) {
+    return parse_error(std::string("invalid stored feature config: ") + why);
+  }
+  // The stored tier count must match the chain the config derives, so an
+  // artifact cannot silently rebind tiers.
+  auto chain = core::derive_tiers(spec, fallback);
+  if (r.count(1) != chain.size() || !r.ok()) {
+    return parse_error("stored tier count disagrees with the tier chain "
+                       "derived from the stored config");
+  }
+  Predictor p(features, std::move(fallback), std::move(chain));
+  const auto forest = [](FlatParts& f) {
+    return FlatForest(std::move(f.nodes), std::move(f.roots), f.base, f.scale);
+  };
+  bool any_tier = false;
+  for (std::size_t i = 0; i < p.specs_.size(); ++i) {
+    if (!r.boolean()) continue;
+    const std::size_t width = p.tier_widths_[i];
+    FlatParts reg;
+    if (!read_forest(r, width, reg)) return tier_error(r, i);
+    std::vector<FlatForest> per_class(r.count(kMinForestBytes));
+    for (FlatForest& c : per_class) {
+      FlatParts part;
+      if (!read_forest(r, width, part)) return tier_error(r, i);
+      c = forest(part);
+    }
+    if (!r.ok()) return tier_error(r, i);
+    Predictor::FlatTier& tier = p.tiers_[i];
+    tier.regressor = forest(reg);
+    tier.classifier = FlatClassifier(std::move(per_class));
+    tier.compiled = true;
+    any_tier = true;
+  }
+  // The last rule: the payload ends exactly where its last tier does.
   if (!r.ok()) {
     return parse_error(std::string("malformed lumos5g payload: ") + r.why());
   }
@@ -673,75 +489,6 @@ Expected<void> finish(const Reader& r) {
                        std::to_string(r.remaining()) +
                        " bytes after the last tier");
   }
-  return {};
-}
-
-}  // namespace
-
-std::string save_bytes(const core::Lumos5G& model) {
-  std::size_t hint = kHeaderSize + 1024 + kHashSize;
-  for (std::size_t i = 0; i < model.tier_specs().size(); ++i) {
-    if (!model.tier_trained(i)) continue;
-    hint += payload_hint(model.tier_regressor(i)) +
-            payload_hint(model.tier_classifier(i));
-  }
-  Writer w(hint);
-  w.raw(kMagic, sizeof(kMagic));
-  w.u32(kFormatVersion);
-  w.u8(static_cast<std::uint8_t>(ModelKind::kLumos5G));
-  w.u64(0);  // total size: patched once the payload is written
-  write_lumos5g_payload(w, model);
-  w.patch_u64(kSizeAt, w.size() + kHashSize);
-  w.u64(artifact_hash(w.view()));
-  return w.take();
-}
-
-Expected<core::Lumos5G> load_lumos5g(std::string_view bytes) {
-  auto opened = open_artifact(bytes);
-  if (!opened) return opened.error();
-  Reader& r = opened->r;
-  core::Lumos5G model(opened->cfg);
-  for (std::size_t i = 0; i < opened->chain.size(); ++i) {
-    if (!r.boolean()) continue;
-    const std::size_t width =
-        data::feature_width(opened->chain[i], opened->cfg.features);
-    ml::GbdtRegressor reg;
-    ml::GbdtClassifier cls;
-    if (!read_pointer_tier(r, width, reg, cls)) return tier_error(r, i);
-    model.restore_tier(i, std::move(reg), std::move(cls));
-  }
-  if (const auto done = finish(r); !done) return done.error();
-  return model;
-}
-
-Expected<Predictor> load_predictor(std::string_view bytes) {
-  auto opened = open_artifact(bytes);
-  if (!opened) return opened.error();
-  Reader& r = opened->r;
-  Predictor p(opened->cfg.features, opened->cfg.fallback,
-              std::move(opened->chain));
-  const auto forest = [](FlatParts& f) {
-    return FlatForest(std::move(f.nodes), std::move(f.roots), f.base, f.scale);
-  };
-  bool any_tier = false;
-  for (std::size_t i = 0; i < p.specs_.size(); ++i) {
-    if (!r.boolean()) continue;
-    std::vector<FlatParts> reg;
-    std::vector<FlatParts> cls;
-    if (!read_flat_model(r, p.tier_widths_[i], false, reg) ||
-        !read_flat_model(r, p.tier_widths_[i], true, cls)) {
-      return tier_error(r, i);
-    }
-    std::vector<FlatForest> per_class;
-    per_class.reserve(cls.size());
-    for (FlatParts& c : cls) per_class.push_back(forest(c));
-    Predictor::FlatTier& tier = p.tiers_[i];
-    tier.regressor = forest(reg.front());
-    tier.classifier = FlatClassifier(std::move(per_class));
-    tier.compiled = true;
-    any_tier = true;
-  }
-  if (const auto done = finish(r); !done) return done.error();
   if (!any_tier) {
     return Error{ErrorCode::kNotTrained,
                  "load_predictor: artifact has no trained tier"};

@@ -2,40 +2,63 @@
 // consumer story (§2.3, Fig. 4): a per-area predictor is trained once,
 // saved to a file, shipped to devices, and reloaded for online queries.
 //
-// Format v2 (every fixed-width field a little-endian word — independent
+// Format v3 (every fixed-width field a little-endian word — independent
 // of host endianness and padding):
 //
 //   offset 0   u32  magic "L5GM"
 //   offset 4   u32  format version (kFormatVersion)
 //   offset 8   u8   model kind (ModelKind)
 //   offset 9   u64  total artifact size in bytes (header + payload + hash)
-//   offset 17  ...  kind-specific payload
+//   offset 17  ...  payload
 //   last 8     u64  hash of every byte before it
+//
+// The payload is the serving snapshot Predictor::compile builds:
+//
+//   config block
+//     4 x u8   feature spec L, M, T, C (nonzero = set)
+//     i32      FeatureConfig::throughput_lags   (offset 21)
+//     i32      FeatureConfig::horizon
+//     f64      low_mbps, high_mbps, max_gap_s
+//     u8       FallbackConfig::enabled
+//     u64      explicit fallback tier count, then 4 x u8 per tier spec
+//     u8       harmonic_tail
+//     u64      harmonic_window
+//   u64        tier count (must equal the chain core::derive_tiers gives)
+//   per tier   u8 trained; when nonzero:
+//                forest   the regressor
+//                u64      class count
+//                forest   one per class, in class order
+//   forest     f64 base, f64 scale, u64 root count R, u64 node count N,
+//              R x u32 roots, N x 16-byte FlatNode records
+//              (f64 value, i32 feature, u32 left with the default-left
+//              bit on top)
+//
+// A forest predicts base + scale * Σ trees, folded in root order: exactly
+// FlatForest's arrays, which FlatForest::eval_block walks.
 //
 // The hash reads 8-byte words into four independent multiply-rotate
 // lanes. Each lane round is a bijection of the lane state for a fixed
 // word, so any single-bit flip changes the hash. It is an integrity check
-// against bit rot and torn writes, not a MAC.
-//
-// Layout rule: every split's children are adjacent (right == left + 1),
-// as GradientTree::fit allocates them. A tree then flattens by one linear
-// copy, node i to root + i, which is what load_predictor does.
-//
-// Two loaders call one definition of every check — envelope, config
-// block, tier count, tier width, per-node rule, end of payload — so they
-// cannot drift apart:
-//   * load_lumos5g rebuilds the whole facade, pointer trees, bin mappers
-//     and split gains included — for round trips and training-side users.
-//   * load_predictor parses each tier straight into the flat node arrays
-//     serving walks, skipping (after bounds checks) what serving never
-//     reads. Server::reload_bytes calls only this one.
+// against bit rot and torn writes, not a MAC: anyone can hash hand-built
+// bytes, so load_predictor — the one reader — checks everything inside:
+//   * Config rule: data::feature_config_error(FeatureConfig) is null
+//     (1 <= throughput_lags <= data::kMaxThroughputLags, horizon >= 1),
+//     so the row width each tier derives from it is sane.
+//   * Node rules, per forest: N fits the 31-bit child field; every root
+//     is below N; a leaf has feature == -1, and any other node is a split
+//     whose feature lies in [0, its tier's row width) (data::feature_width)
+//     and whose left child — an index into the forest's node array —
+//     comes after it with left + 1 < N. Every walk therefore moves
+//     forward, ends on a leaf and never reads past a feature row.
+//   * Counts are checked against the bytes left before any allocation,
+//     and the payload must end exactly after its last tier.
 //
 // Guarantees:
 //   * Deterministic: saving the same fitted model twice yields identical
 //     bytes (no timestamps, no addresses, no locale).
 //   * Round-trip exact: every double is stored as its IEEE-754 bit
-//     pattern, so a loaded model predicts bit-identically to the saved
-//     one.
+//     pattern, so load_predictor(save_bytes(m)) is node for node the
+//     snapshot Predictor::compile(m) builds.
 //   * Fail-typed, never UB: a wrong magic, incompatible version, short
 //     file, or flipped bit yields Expected<T> carrying kBadMagic /
 //     kVersionMismatch / kTruncated / kCorrupt; structural impossibilities
@@ -44,9 +67,9 @@
 // Versioning policy: any change to the byte layout or the hash bumps
 // kFormatVersion. Readers accept exactly the version they were built for —
 // a serving fleet upgrades its binary before its model artifacts, never
-// the other way around. Other-version artifacts (v1 included) are rejected
-// with kVersionMismatch (carrying both versions in the message) rather
-// than best-effort parsed.
+// the other way around. Other-version artifacts (v1 and v2 included) are
+// rejected with kVersionMismatch (carrying both versions in the message)
+// rather than best-effort parsed.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +87,10 @@ namespace lumos::serve {
 inline constexpr char kMagic[4] = {'L', '5', 'G', 'M'};
 
 /// Current (and only accepted) format version. v2 replaced v1's FNV-1a
-/// envelope hash and added the adjacent-children rule.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// envelope hash; v3 replaced the training-side tree records (pointer
+/// nodes, split gains, bin mappers, GBDT settings) with the 16-byte
+/// serving nodes.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Kind tag stored in the artifact header. The trained Lumos5G facade is
 /// the only kind: tags 0-3 (standalone GBDT and Random Forest models) and
@@ -76,27 +101,18 @@ enum class ModelKind : std::uint8_t {
 };
 
 // --- byte-buffer API ------------------------------------------------------
-// The in-memory half: save_bytes is pure and deterministic; the loader
+// The in-memory half: save_bytes is pure and deterministic; the reader
 // parses a buffer without touching the filesystem. File I/O wraps these.
 
+/// Writes the node arrays Predictor::compile(model) builds, under the
+/// model's config. An untrained facade stores every tier untrained.
 [[nodiscard]] std::string save_bytes(const core::Lumos5G& model);
 
-/// Parses a Lumos5G artifact into the full facade. Beyond the envelope
-/// checks, the stored tier count must match the chain the stored config
-/// derives; every trained tier's regressor and classifier must declare
-/// the feature width of its tier (data::feature_width); and every split
-/// must name a feature below it, a bin code in range, and children that
-/// are adjacent, forward and inside its tree — so a hash-valid but
-/// hand-built artifact cannot make serving read past a feature row or
-/// loop: kParseError otherwise.
-[[nodiscard]] Expected<core::Lumos5G> load_lumos5g(std::string_view bytes);
-
-/// Parses a Lumos5G artifact straight into the serving snapshot, with the
-/// same checks and error codes as load_lumos5g: each tier's trees become
-/// FlatForest/FlatClassifier node arrays without building pointer trees,
-/// bin mappers or split gains. The result is node-for-node identical to
-/// Predictor::compile(*load_lumos5g(bytes)). Errors with kNotTrained when
-/// no tier is trained, as compile does.
+/// The one artifact reader: checks the envelope, the config rule and
+/// every node (see the file comment), then moves each tier's arrays,
+/// sized from the stored counts, into the serving snapshot. A broken rule
+/// is kParseError. Errors with kNotTrained when no tier is trained, as
+/// compile does.
 [[nodiscard]] Expected<Predictor> load_predictor(std::string_view bytes);
 
 // --- file API -------------------------------------------------------------

@@ -1,11 +1,12 @@
 // The low-latency serving runtime over a trained core::Lumos5G facade or
 // its artifact. Predictor::compile flattens every tier's GBDT pair into
-// contiguous FlatForest/FlatClassifier layouts, and serve::load_predictor
-// (serve/model_io.h) parses an artifact straight into the same layouts
-// without building the facade's pointer trees; queries then walk the same
-// fallback chain as the facade — first trained tier whose features the
-// window can produce answers, harmonic tail last — and return predictions
-// bit-identical to Lumos5G::predict (enforced by tests/test_serve.cpp).
+// contiguous FlatForest/FlatClassifier layouts; serve::save_bytes stores
+// those arrays, and serve::load_predictor (serve/model_io.h), the one
+// artifact reader, checks and reloads them without building the facade's
+// pointer trees. Queries then walk the same fallback chain as the facade
+// — first trained tier whose features the window can produce answers,
+// harmonic tail last — and return predictions bit-identical to
+// Lumos5G::predict (enforced by tests/test_serve.cpp).
 //
 // Per-UE state lives in serve::Session: the C feature group needs the UE's
 // recent throughput/context history, so each UE keeps a small rolling
@@ -150,6 +151,14 @@ class Predictor {
   }
   bool tier_compiled(std::size_t i) const noexcept {
     return i < tiers_.size() && tiers_[i].compiled;
+  }
+  /// Tier `i`'s flattened models; only meaningful when tier_compiled(i).
+  /// serve::save_bytes stores these arrays.
+  const FlatForest& tier_regressor(std::size_t i) const noexcept {
+    return tiers_[i].regressor;
+  }
+  const FlatClassifier& tier_classifier(std::size_t i) const noexcept {
+    return tiers_[i].classifier;
   }
 
   /// Total flattened nodes across all tiers (serving-memory footprint:

@@ -277,7 +277,7 @@ std::size_t Server::poll(std::span<Response> out) {
   // 1. Drain the oldest min(max_batch, out.size()) requests into the batch
   //    arena; the ring is in ticket order, so they come out in admission
   //    order. The tier floor is derived from the depth at the start of the
-  //    step — the batch about to be served is part of the pressure it was
+  //    poll — the batch about to be served is part of the pressure it was
   //    admitted under. The critical section is bounded scalar copies out
   //    of the preallocated ring, nothing else.
   std::size_t n = 0;
@@ -391,29 +391,12 @@ void Server::poll_lane(std::size_t lane, std::size_t begin, std::size_t end,
       {result_arena_.data() + begin, end - begin}, scratch_[lane], min_tier);
 }
 
-std::vector<Response> Server::step() {
-  std::vector<Response> out(cfg_.max_batch);
-  const std::size_t n = poll(out);
-  out.resize(n);
-  return out;
-}
-
-std::vector<Response> Server::drain() {
-  std::vector<Response> all;
-  while (queue_depth() > 0) {
-    auto batch = step();
-    all.insert(all.end(), std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()));
-  }
-  return all;
-}
-
 Expected<void> Server::reload_bytes(std::string_view bytes) {
   ++stats_.reload_attempts;
-  // Validate fully on the side: envelope hash, then a parse straight into
-  // flat tiers. The serving predictor_ is untouched until the very last
-  // move, so a request between steps can never observe a half-loaded
-  // model.
+  // Validate fully on the side: envelope hash, then the checked read of
+  // the stored flat tiers. The serving predictor_ is untouched until the
+  // very last move, so a request between polls can never observe a
+  // half-loaded model.
   auto loaded = load_predictor(bytes);
   if (!loaded) {
     ++stats_.reloads_failed;

@@ -49,11 +49,12 @@
 //
 //   * Hot model reload with rollback. reload() fully validates the new
 //     artifact on the side — the envelope hash, then serve::load_predictor
-//     parsing each tier straight into flat node arrays (no pointer trees
-//     are built) — and swaps the serving snapshot in only on success; the
-//     columnar scratch is re-reserved only when the new model's widest
-//     tier outgrows it. The consumer thread does this work between
-//     polls, so a reload stalls serving for its duration (DESIGN §10).
+//     checking each stored 16-byte node as it reads the flat node arrays
+//     (no pointer trees are built) — and swaps the serving snapshot in
+//     only on success; the columnar scratch is re-reserved only when the
+//     new model's widest tier outgrows it. The consumer thread does this
+//     work between polls, so a reload stalls serving for its duration
+//     (DESIGN §10).
 //     Transient kIoError is retried with bounded exponential backoff;
 //     validation failures (kCorrupt / kTruncated / kVersionMismatch /
 //     kBadMagic / kParseError / kNotTrained) roll back immediately: the
@@ -63,8 +64,9 @@
 // All time flows through an injected lumos::Clock, so tests and the chaos
 // soak drive a ManualClock (bit-reproducible runs, scripted clock jumps)
 // while production wires a SteadyClock. The consumer side is poll-driven
-// (step()/drain()) rather than owning a thread: the repo bans raw threads
-// outside the pool, and a pumped loop is what makes the soak deterministic.
+// (poll() into caller-owned response slots) rather than owning a thread:
+// the repo bans raw threads outside the pool, and a pumped loop is what
+// makes the soak deterministic.
 #pragma once
 
 #include <atomic>
@@ -97,7 +99,7 @@ struct ServerConfig {
   std::vector<double> degrade_watermarks = {0.50, 0.70, 0.85};
 
   // --- batching ---
-  std::size_t max_batch = 64;  ///< requests drained per step()
+  std::size_t max_batch = 64;  ///< requests drained per poll()
 
   // --- deadlines ---
   /// Default per-request budget (ms) when Request::deadline_ms is 0;
@@ -131,7 +133,7 @@ struct Response {
   std::uint64_t ticket = 0;       ///< admission ticket from submit()
   std::uint64_t ue_id = 0;
   std::uint64_t enqueued_ms = 0;  ///< Clock time at admission
-  std::uint64_t served_ms = 0;    ///< Clock time at the serving step
+  std::uint64_t served_ms = 0;    ///< Clock time at the serving poll
   std::size_t min_tier = 0;       ///< degradation floor applied to the batch
   Expected<core::Prediction> result;
 
@@ -139,7 +141,7 @@ struct Response {
 };
 
 /// Monotone counters exposed for tests, benches, and operators. Updated
-/// only by the consumer side (step()/reload()) except submitted/shed/
+/// only by the consumer side (poll()/reload()) except submitted/shed/
 /// rejected_shutdown/peak_depth, which the admission path maintains as
 /// lock-free atomics (stats() snapshots them into this plain view).
 struct ServerStats {
@@ -174,7 +176,7 @@ class Server {
   /// watermark / queue full) or kShuttingDown (after begin_shutdown()).
   [[nodiscard]] Expected<std::uint64_t> submit(const Request& req);
 
-  /// Stops admitting; queued requests still drain through step().
+  /// Stops admitting; queued requests still drain through poll().
   void begin_shutdown();
 
   [[nodiscard]] std::size_t queue_depth() const;
@@ -182,23 +184,15 @@ class Server {
 
   // --- consumer side (single-threaded) -------------------------------------
 
-  /// Allocation-free serving step: drains up to min(max_batch, out.size())
-  /// requests into caller-provided storage — expires overdue ones, applies
-  /// the depth-derived tier floor, feeds sessions, and batch-predicts over
-  /// the thread pool using the server's preallocated arenas. Returns the
-  /// number of responses written (admission order). Also runs TTL eviction
-  /// against the current clock. This is the consumer-side hot-path root in
-  /// the lint reachability proof; step() is its allocating wrapper.
+  /// The one serving step, allocation-free: drains up to min(max_batch,
+  /// out.size()) requests into caller-provided storage — expires overdue
+  /// ones, applies the depth-derived tier floor, feeds sessions, and
+  /// batch-predicts over the thread pool using the server's preallocated
+  /// arenas. Returns the number of responses written (admission order).
+  /// Also runs TTL eviction against the current clock. A caller empties
+  /// the queue by polling while queue_depth() > 0. This is the
+  /// consumer-side hot-path root in the lint reachability proof.
   [[nodiscard]] std::size_t poll(std::span<Response> out);
-
-  /// Drains up to max_batch requests: expires overdue ones, applies the
-  /// depth-derived tier floor, feeds sessions, and batch-predicts over the
-  /// thread pool. Returns responses in admission order. Also runs TTL
-  /// eviction against the current clock. Allocating wrapper over poll().
-  std::vector<Response> step();
-
-  /// Pumps step() until the queue is empty; returns all responses.
-  std::vector<Response> drain();
 
   /// The documented occupancy -> minimum-tier mapping (monotone in depth).
   [[nodiscard]] std::size_t min_tier_for_depth(std::size_t depth) const noexcept;

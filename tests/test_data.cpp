@@ -285,10 +285,13 @@ TEST(BuildFeatures, ShortRunsAreSkipped) {
 
 TEST(BuildFeatures, InvalidConfigThrows) {
   Dataset ds = two_run_dataset(10);
-  FeatureConfig cfg;
-  cfg.throughput_lags = 0;
-  EXPECT_THROW(build_features(ds, FeatureSetSpec::parse("C"), cfg),
-               std::invalid_argument);
+  for (const int lags : {0, kMaxThroughputLags + 1}) {
+    FeatureConfig cfg;
+    cfg.throughput_lags = lags;
+    EXPECT_THROW(build_features(ds, FeatureSetSpec::parse("C"), cfg),
+                 std::invalid_argument)
+        << "throughput_lags " << lags;
+  }
   FeatureConfig cfg2;
   cfg2.horizon = 0;
   EXPECT_THROW(build_features(ds, FeatureSetSpec::parse("L"), cfg2),

@@ -484,10 +484,10 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
 }
 
 TEST(LumosLintReach, ReloadPathBuildsNoPointerTrees) {
-  // Hot reload parses an artifact straight into flat node arrays. Nothing
-  // reachable from Server::reload_bytes may build the facade's pointer
-  // trees or flatten them — and the check is only meaningful while
-  // reload_bytes really calls the pointer-free loader.
+  // Hot reload reads an artifact's stored flat node arrays. Nothing
+  // reachable from Server::reload_bytes may fit pointer trees or flatten
+  // them — and the check is only meaningful while reload_bytes really
+  // calls the one artifact reader.
   const auto g = real_callgraph();
   const std::size_t reload = g.find("serve::Server::reload_bytes");
   const std::size_t loader = g.find("serve::load_predictor");
@@ -513,8 +513,8 @@ TEST(LumosLintReach, ReloadPathBuildsNoPointerTrees) {
     }
   }
   for (const char* banned :
-       {"serve::load_lumos5g", "core::Lumos5G::restore_tier",
-        "ml::GradientTree::restore", "serve::FlatForest::flatten"}) {
+       {"ml::GradientTree::fit", "serve::FlatForest::flatten",
+        "serve::FlatClassifier::flatten", "serve::Predictor::compile"}) {
     // Overloads share a qualified name; check every definition, and that
     // the name still has one (a rename must not empty the check).
     std::size_t defs = 0;

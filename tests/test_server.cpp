@@ -97,12 +97,29 @@ std::vector<data::SampleRecord> run_samples(std::size_t run_idx, std::size_t n,
   return out;
 }
 
+/// One poll into a caller-owned buffer of max_batch slots; returns the
+/// responses it wrote, in admission order.
+std::vector<Response> poll_once(Server& server) {
+  std::vector<Response> slots(server.config().max_batch);
+  slots.resize(server.poll(slots));
+  return slots;
+}
+
+/// Polls until the queue is empty; returns every response, in order.
+std::vector<Response> poll_until_empty(Server& server) {
+  std::vector<Response> all;
+  while (server.queue_depth() > 0) {
+    for (auto& r : poll_once(server)) all.push_back(std::move(r));
+  }
+  return all;
+}
+
 /// Submits one request and serves it immediately (no queue pressure).
 Response serve_one(Server& server, std::uint64_t ue,
                    const data::SampleRecord& sample) {
   const auto ticket = server.submit({ue, sample, 0});
   EXPECT_TRUE(ticket.has_value());
-  auto out = server.step();
+  auto out = poll_once(server);
   EXPECT_EQ(out.size(), 1u);
   return std::move(out.front());
 }
@@ -149,7 +166,7 @@ TEST(Server, TicketsAreMonotone) {
     EXPECT_GT(*t, prev);
     prev = *t;
   }
-  EXPECT_EQ(server.drain().size(), samples.size());
+  EXPECT_EQ(poll_until_empty(server).size(), samples.size());
 }
 
 TEST(Server, OverloadShedsAtWatermarkTyped) {
@@ -171,7 +188,7 @@ TEST(Server, OverloadShedsAtWatermarkTyped) {
   EXPECT_EQ(server.stats().peak_depth, 5u);
 
   // Serving drains the queue; admission reopens below the watermark.
-  server.drain();
+  poll_until_empty(server);
   EXPECT_TRUE(server.submit({1, samples[0], 0}).has_value());
 }
 
@@ -204,7 +221,7 @@ TEST(Server, ShutdownRejectsNewButDrainsQueued) {
   EXPECT_EQ(rejected.error().code, ErrorCode::kShuttingDown);
   EXPECT_EQ(server.stats().rejected_shutdown, 1u);
 
-  const auto out = server.drain();
+  const auto out = poll_until_empty(server);
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(server.queue_depth(), 0u);
 }
@@ -301,7 +318,7 @@ TEST(Server, ConcurrentProducersAreAnsweredOnceInTicketOrder) {
 
 TEST(Server, BatchedSameUeMatchesSequentialBitwise) {
   // A UE submitting twice into one batch must see exactly the windows it
-  // would have seen submitting one step at a time.
+  // would have seen submitting one poll at a time.
   const auto samples = run_samples(0, 10);
   ManualClock c1, c2;
   Server batched(make_predictor(), ServerConfig{}, c1);
@@ -312,7 +329,7 @@ TEST(Server, BatchedSameUeMatchesSequentialBitwise) {
     ASSERT_TRUE(batched.submit({7, s, 0}).has_value());
     seq_out.push_back(serve_one(sequential, 7, s));
   }
-  const auto batch_out = batched.step();  // one batch, all ten requests
+  const auto batch_out = poll_once(batched);  // one batch, all ten requests
   ASSERT_EQ(batch_out.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     expect_same_result(batch_out[i].result, seq_out[i].result);
@@ -330,7 +347,7 @@ TEST(Server, ExpiredRequestsAreTypedAndCostNoModelWork) {
     ASSERT_TRUE(server.submit({1, s, 0}).has_value());
   }
   clock.advance_ms(200);  // all three now past their budget
-  const auto out = server.step();
+  const auto out = poll_once(server);
   ASSERT_EQ(out.size(), 3u);
   for (const auto& r : out) {
     ASSERT_FALSE(r.result.has_value());
@@ -351,7 +368,7 @@ TEST(Server, PerRequestDeadlineOverridesDefault) {
   ASSERT_TRUE(server.submit({1, samples[0], 50}).has_value());   // tight
   ASSERT_TRUE(server.submit({2, samples[1], 0}).has_value());    // default
   clock.advance_ms(100);
-  const auto out = server.step();
+  const auto out = poll_once(server);
   ASSERT_EQ(out.size(), 2u);
   ASSERT_FALSE(out[0].result.has_value());
   EXPECT_EQ(out[0].result.error().code, ErrorCode::kDeadlineExceeded);
@@ -364,7 +381,7 @@ TEST(Server, ZeroDeadlineNeverExpires) {
   Server server(make_predictor(), ServerConfig{}, clock);  // default 0
   ASSERT_TRUE(server.submit({1, run_samples(0, 1)[0], 0}).has_value());
   clock.advance_ms(1'000'000'000);
-  const auto out = server.step();
+  const auto out = poll_once(server);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].result.has_value() ||
               out[0].result.error().code != ErrorCode::kDeadlineExceeded);
@@ -380,7 +397,7 @@ TEST(Server, HugeDeadlineNeverExpires) {
                            std::numeric_limits<std::uint64_t>::max()})
                   .has_value());
   clock.advance_ms(5);
-  const auto out = server.step();
+  const auto out = poll_once(server);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].result.has_value() ||
               out[0].result.error().code != ErrorCode::kDeadlineExceeded);
@@ -438,7 +455,7 @@ TEST(Server, PressureDegradesServedTierHonestly) {
   for (const auto& s : extra) {
     ASSERT_TRUE(pressured.submit({1, s, 0}).has_value());
   }
-  const auto out = pressured.step();
+  const auto out = poll_once(pressured);
   ASSERT_EQ(out.size(), 4u);
   for (const auto& r : out) {
     EXPECT_GE(r.min_tier, 1u);
@@ -516,7 +533,7 @@ TEST(Server, TtlEvictsIdleSessions) {
   serve_one(server, 1, samples[0]);
   EXPECT_EQ(server.n_sessions(), 1u);
   clock.advance_ms(5000);
-  serve_one(server, 2, samples[1]);  // the step's sweep reaps idle UE 1
+  serve_one(server, 2, samples[1]);  // the poll's sweep reaps idle UE 1
   EXPECT_EQ(server.n_sessions(), 1u);
   EXPECT_EQ(server.stats().evicted_ttl, 1u);
 }
@@ -936,7 +953,7 @@ TEST(Server, StatsPartitionEveryAdmittedRequest) {
   for (std::size_t i = 4; i < 8; ++i) {
     ASSERT_TRUE(server.submit({1, samples[i], 0}).has_value());
   }
-  server.drain();
+  poll_until_empty(server);
 
   const auto& st = server.stats();
   EXPECT_EQ(st.submitted, 8u);

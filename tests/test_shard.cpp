@@ -139,22 +139,27 @@ TEST(ShardWalk, ColumnarMatchesRowPredictAtTailSizes) {
 // ---------- lane split vs one lane ----------
 
 /// Drives `samples` through a server (UE id = sample index % n_ues,
-/// stepping every `batch` submissions) and returns the response stream in
-/// arrival order.
+/// polling every `batch` submissions, then until the queue is empty) and
+/// returns the response stream in arrival order.
 std::vector<Response> drive(Server& server, ManualClock& clock,
                             const std::vector<data::SampleRecord>& samples,
                             std::size_t n_ues, std::size_t batch) {
   std::vector<Response> out;
+  std::vector<Response> slots(server.config().max_batch);
+  const auto poll = [&] {
+    const std::size_t n = server.poll(slots);
+    out.insert(out.end(), slots.begin(), slots.begin() + n);
+  };
   std::size_t i = 0;
   for (const auto& s : samples) {
     const auto ticket = server.submit({i % n_ues, s, 0});
     EXPECT_TRUE(ticket.has_value());
     if (++i % batch == 0) {
       clock.advance_ms(1'000);
-      for (auto& r : server.step()) out.push_back(std::move(r));
+      poll();
     }
   }
-  for (auto& r : server.drain()) out.push_back(std::move(r));
+  while (server.queue_depth() > 0) poll();
   return out;
 }
 
@@ -216,8 +221,9 @@ TEST(LaneServer, EmptyAndNarrowPollsMatchOneLane) {
   ManualClock clock1, clock8;
   const auto one = lane_server(1, clock1);
   const auto eight = lane_server(8, clock8);
-  EXPECT_TRUE(one->step().empty());
-  EXPECT_TRUE(eight->step().empty());
+  std::vector<Response> slots(lane_cfg().max_batch);
+  EXPECT_EQ(one->poll(slots), 0u);
+  EXPECT_EQ(eight->poll(slots), 0u);
   EXPECT_EQ(eight->queue_depth(), 0u);
   for (std::size_t batch = 1; batch < 8; ++batch) {
     const auto samples = run_samples(batch % 4, 3 * batch);

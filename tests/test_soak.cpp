@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,7 +140,9 @@ SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
   std::map<std::size_t, std::size_t> tier_floor_by_depth;
   std::size_t stream_pos = 0;
 
-  const auto consume = [&](const std::vector<Response>& batch,
+  // One poll's responses land in these max_batch caller-owned slots.
+  std::vector<Response> slots(cfg.max_batch);
+  const auto consume = [&](std::span<const Response> batch,
                            std::size_t depth_before) {
     // Every batch's tier floor must agree across equal depths and respect
     // monotonicity against every depth seen so far.
@@ -208,7 +211,7 @@ SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
 
     // --- serve one batch ---
     const std::size_t depth_before = server.queue_depth();
-    consume(server.step(), depth_before);
+    consume({slots.data(), server.poll(slots)}, depth_before);
 
     // --- periodic hot reload through damaged bytes ---
     if (tick % 100 == 50) {
@@ -245,7 +248,7 @@ SoakReport run_soak(std::uint64_t seed, std::size_t ticks,
   EXPECT_EQ(late.error().code, ErrorCode::kShuttingDown);
   while (server.queue_depth() > 0) {
     const std::size_t depth_before = server.queue_depth();
-    consume(server.step(), depth_before);
+    consume({slots.data(), server.poll(slots)}, depth_before);
   }
   EXPECT_TRUE(outstanding.empty())
       << outstanding.size() << " requests stuck without a response";
