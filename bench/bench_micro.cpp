@@ -388,7 +388,9 @@ BENCHMARK(BM_HistogramBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 //   Arg(0)  per-row predict() over row-major feature rows
 //   Arg(1)  predict_columnar() over a ColumnStore (level-synchronous row
 //           blocks over contiguous feature columns)
-// Outputs are bit-identical (tests/test_columnar.cpp).
+// Outputs are bit-identical (tests/test_columnar.cpp). Both walks run
+// sequentially on the calling thread at any pool size, so the
+// Arg(0)/Arg(1) ratio is the column layout alone.
 void BM_ColumnarVsRowPredict(benchmark::State& state) {
   static const auto built = data::build_features(
       airport_ds(), data::FeatureSetSpec::parse("L+M+C"), {});
@@ -446,43 +448,42 @@ const serve::Predictor& serve_predictor() {
 }
 
 // End-to-end serving throughput (preds/sec): a compiled Predictor answers
-// a fleet of per-UE sessions through the batched columnar walk the server
-// runs, over the pool (Arg = pool size). The scratch and output slots are
-// reserved once, outside the timed loop, as Server does.
+// 256 per-UE windows of 8 records through the batched columnar walk one
+// server lane runs. The walk is sequential on the calling thread at any
+// pool size (the server's lanes are the only fan-out); Arg(1) keeps the
+// row's baseline name. The scratch and output slots are reserved once,
+// outside the timed loop, as Server does.
 void BM_ServePredictBatch(benchmark::State& state) {
   static const serve::Predictor* predictor = &serve_predictor();
-  static const std::vector<serve::Session> sessions = [] {
-    std::vector<serve::Session> out;
+  static const std::vector<std::vector<data::SampleRecord>> records = [] {
+    std::vector<std::vector<data::SampleRecord>> out;
     const auto& ds = airport_ds();
     const auto runs = ds.runs();
     for (const auto& run : runs) {
       for (std::size_t start = 10; start + 8 < run.size() && out.size() < 256;
            start += 9) {
-        serve::Session s;
-        for (std::size_t i = start; i < start + 8; ++i) s.observe(ds[run[i]]);
-        out.push_back(std::move(s));
+        std::vector<data::SampleRecord>& w = out.emplace_back();
+        for (std::size_t i = start; i < start + 8; ++i) w.push_back(ds[run[i]]);
       }
     }
     return out;
   }();
-  std::vector<std::span<const data::SampleRecord>> windows;
-  for (const serve::Session& s : sessions) windows.push_back(s.window());
+  const std::vector<std::span<const data::SampleRecord>> windows(
+      records.begin(), records.end());
   std::vector<Expected<core::Prediction>> out(
       windows.size(),
       Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
   serve::PredictScratch scratch;
   scratch.reserve(windows.size(), predictor->max_width());
-  ThreadPool::global().set_threads(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     predictor->predict_spans_columnar(windows, out, scratch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  ThreadPool::global().set_threads(0);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sessions.size()));
+                          static_cast<std::int64_t>(windows.size()));
 }
-BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServePredictBatch)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The resilient server loop end to end (requests/sec): admission control,
 // deadline stamping, session upkeep, the depth-derived tier floor, and the

@@ -1,7 +1,7 @@
 // Serving quickstart: the paper's consumer story (§2.3, Fig. 4) end to
 // end — train a per-area predictor once, save it as a binary artifact,
 // load it (as a freshly deployed device would) straight into the
-// flattened serving runtime, and answer a fleet of per-UE sessions.
+// flattened serving runtime, and answer a fleet of per-UE windows.
 //
 //   1. Train core::Lumos5G with the T+M+C fallback chain on a simulated
 //      airport campaign.
@@ -9,9 +9,10 @@
 //   3. serve::load_predictor -> flattened serving snapshot (16-byte
 //      nodes, iterative traversal), parsed without building the
 //      training-side pointer trees.
-//   4. Feed per-UE Sessions and answer them in one predict_spans_columnar
-//      batch over the thread pool, verifying the reloaded runtime matches
-//      the trainer bit for bit.
+//   4. Answer one recent-sample window per UE in one
+//      predict_spans_columnar batch (a sequential walk on scratch reserved
+//      once), verifying the reloaded runtime matches the trainer bit for
+//      bit.
 //
 // Build & run:  ./examples/serve_quickstart
 #include <bit>
@@ -69,20 +70,20 @@ int main() {
   std::printf("loaded serving snapshot: %zu flat nodes (%zu KiB)\n",
               predictor->n_nodes(), predictor->n_nodes() * 16 / 1024);
 
-  // 4. Serve a small fleet: one Session per replayed UE.
+  // 4. Serve a small fleet: each replayed UE's last 8 samples, oldest
+  //    first (a serve::Server keeps these windows per UE itself).
   const auto runs = ds.runs();
-  std::vector<serve::Session> fleet;
+  std::vector<std::vector<data::SampleRecord>> fleet;
   for (std::size_t r = 0; r < runs.size() && fleet.size() < 8; ++r) {
-    serve::Session s;
+    std::vector<data::SampleRecord>& recent = fleet.emplace_back();
     for (std::size_t i = 20; i < 28 && i < runs[r].size(); ++i) {
-      s.observe(ds[runs[r][i]]);
+      recent.push_back(ds[runs[r][i]]);
     }
-    fleet.push_back(std::move(s));
   }
   // The batched walk writes into caller-owned slots and a scratch
   // reserved once for the batch size (a server reserves it at startup).
-  std::vector<std::span<const data::SampleRecord>> windows;
-  for (const serve::Session& s : fleet) windows.push_back(s.window());
+  const std::vector<std::span<const data::SampleRecord>> windows(
+      fleet.begin(), fleet.end());
   std::vector<Expected<core::Prediction>> batch(
       fleet.size(),
       Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
@@ -92,7 +93,7 @@ int main() {
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const auto direct = trainer.predict(fleet[i].window());
+    const auto direct = trainer.predict(fleet[i]);
     if (!batch[i] || !direct) {
       std::printf("  UE%zu: no prediction\n", i);
       continue;

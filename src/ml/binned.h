@@ -66,7 +66,7 @@ class BinnedMatrix {
   /// The mapper's missing-value code at build time (routes NaN rows).
   std::uint16_t missing_code() const noexcept { return missing_code_; }
 
-  /// Bytes held by the code pools (the README perf note quotes this).
+  /// Bytes held by the code pools.
   std::size_t code_bytes() const noexcept {
     return pool8_.size() + 2 * pool16_.size();
   }

@@ -492,15 +492,6 @@ double GradientTree::predict_binned(const BinnedMatrix& binned,
   return nodes_[static_cast<std::size_t>(cur)].value;
 }
 
-void GradientTree::predict_binned_all(const BinnedMatrix& binned,
-                                      std::span<double> out) const {
-  LUMOS_EXPECTS(out.size() >= binned.rows(),
-                "GradientTree::predict_binned_all: one slot per row");
-  parallel_for(0, binned.rows(), 2048, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict_binned(binned, r);
-  });
-}
-
 double GradientTree::predict(std::span<const double> row) const noexcept {
   if (nodes_.empty()) return 0.0;
   int cur = 0;

@@ -139,15 +139,6 @@ class GradientTree {
   [[nodiscard]] double predict_binned(const BinnedMatrix& binned,
                                       std::size_t row) const noexcept;
 
-  /// Batched leaf assignment over every row of the store: out[r] is the
-  /// leaf value row r reaches. Rows are chunked over the global thread
-  /// pool; each slot is written once, so the output is identical at any
-  /// LUMOS_THREADS. Rows ascend within a chunk, so each visited code
-  /// column is read at monotonically increasing offsets (cache-friendly,
-  /// unlike a row-major gather).
-  void predict_binned_all(const BinnedMatrix& binned,
-                          std::span<double> out) const;
-
   /// Adds each split's gain to `gain_by_feature` (size = n_features).
   void accumulate_gain(std::span<double> gain_by_feature) const noexcept;
 

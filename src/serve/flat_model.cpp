@@ -1,9 +1,9 @@
 #include "serve/flat_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
-#include "common/parallel.h"
 
 namespace lumos::serve {
 namespace {
@@ -118,15 +118,12 @@ void FlatForest::predict_columnar(const data::ColumnBlock& block,
                                   std::span<double> out) const {
   LUMOS_EXPECTS(out.size() >= block.n_rows,
                 "FlatForest::predict_columnar: one output slot per row");
-  parallel_for(0, block.n_rows, kColumnarRowBlock,
-               [&](std::size_t b, std::size_t e) {
-    for (std::size_t j0 = b; j0 < e; j0 += kColumnarRowBlock) {
-      const std::size_t m = std::min(kColumnarRowBlock, e - j0);
-      double acc[kColumnarRowBlock];
-      eval_block(block, j0, m, acc);
-      for (std::size_t j = 0; j < m; ++j) out[j0 + j] = acc[j];
-    }
-  });
+  for (std::size_t j0 = 0; j0 < block.n_rows; j0 += kColumnarRowBlock) {
+    const std::size_t m = std::min(kColumnarRowBlock, block.n_rows - j0);
+    double acc[kColumnarRowBlock];
+    eval_block(block, j0, m, acc);
+    for (std::size_t j = 0; j < m; ++j) out[j0 + j] = acc[j];
+  }
 }
 
 FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
@@ -144,15 +141,6 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
         model.base()[static_cast<std::size_t>(cls)], lr_scale));
   }
   return c;
-}
-
-std::vector<double> FlatClassifier::decision_function(
-    std::span<const double> row) const {
-  std::vector<double> score(per_class_.size());
-  for (std::size_t c = 0; c < per_class_.size(); ++c) {
-    score[c] = per_class_[c].predict(row);
-  }
-  return score;
 }
 
 int FlatClassifier::predict(std::span<const double> row) const noexcept {
@@ -178,28 +166,25 @@ void FlatClassifier::predict_columnar(const data::ColumnBlock& block,
     for (std::size_t r = 0; r < block.n_rows; ++r) out[r] = 0;
     return;
   }
-  parallel_for(0, block.n_rows, kColumnarRowBlock,
-               [&](std::size_t b, std::size_t e) {
-    for (std::size_t j0 = b; j0 < e; j0 += kColumnarRowBlock) {
-      const std::size_t m = std::min(kColumnarRowBlock, e - j0);
-      double best[kColumnarRowBlock];
-      double score[kColumnarRowBlock];
-      int best_class[kColumnarRowBlock];
-      per_class_[0].eval_block(block, j0, m, best);
-      for (std::size_t j = 0; j < m; ++j) best_class[j] = 0;
-      // First-max-wins argmax across classes, matching predict().
-      for (std::size_t c = 1; c < per_class_.size(); ++c) {
-        per_class_[c].eval_block(block, j0, m, score);
-        for (std::size_t j = 0; j < m; ++j) {
-          if (score[j] > best[j]) {
-            best[j] = score[j];
-            best_class[j] = static_cast<int>(c);
-          }
+  for (std::size_t j0 = 0; j0 < block.n_rows; j0 += kColumnarRowBlock) {
+    const std::size_t m = std::min(kColumnarRowBlock, block.n_rows - j0);
+    double best[kColumnarRowBlock];
+    double score[kColumnarRowBlock];
+    int best_class[kColumnarRowBlock];
+    per_class_[0].eval_block(block, j0, m, best);
+    for (std::size_t j = 0; j < m; ++j) best_class[j] = 0;
+    // First-max-wins argmax across classes, matching predict().
+    for (std::size_t c = 1; c < per_class_.size(); ++c) {
+      per_class_[c].eval_block(block, j0, m, score);
+      for (std::size_t j = 0; j < m; ++j) {
+        if (score[j] > best[j]) {
+          best[j] = score[j];
+          best_class[j] = static_cast<int>(c);
         }
       }
-      for (std::size_t j = 0; j < m; ++j) out[j0 + j] = best_class[j];
     }
-  });
+    for (std::size_t j = 0; j < m; ++j) out[j0 + j] = best_class[j];
+  }
 }
 
 std::size_t FlatClassifier::n_nodes() const noexcept {

@@ -94,11 +94,11 @@ class FlatForest {
   /// per-tree accumulation order, same NaN default routing). Rows are
   /// evaluated in blocks of kColumnarRowBlock — per block, every tree is
   /// walked one level at a time across all rows, reading feature values
-  /// from the block's contiguous columns. Allocation-free (stack cursors
-  /// only); blocks are chunked over the global thread pool and each out
-  /// slot is written once, so the result is identical at any
-  /// LUMOS_THREADS. Requires out.size() >= block.n_rows. A root in the
-  /// lint hot-path reachability proof.
+  /// from the block's contiguous columns. A sequential loop over the
+  /// blocks with stack cursors only: it never allocates and never enters
+  /// the thread pool (Server::poll's lanes are the serving path's one
+  /// fan-out). Requires out.size() >= block.n_rows. A root in the lint
+  /// hot-path reachability proof.
   void predict_columnar(const data::ColumnBlock& block,
                         std::span<double> out) const;
 
@@ -145,16 +145,13 @@ class FlatClassifier {
 
   static FlatClassifier flatten(const ml::GbdtClassifier& model);
 
-  /// Per-class scores, bit-identical to the source model's margins.
-  [[nodiscard]] std::vector<double> decision_function(
-      std::span<const double> row) const;
-
   /// Bit-identical to the source classifier's predict().
   [[nodiscard]] int predict(std::span<const double> row) const noexcept;
 
   /// Columnar batch predict: out[r] is row r's class, bit-identical to
   /// predict() (per-class scores via the same block kernel, first-max-wins
-  /// argmax). Allocation-free; requires out.size() >= block.n_rows. A
+  /// argmax), in the same sequential, allocation-free block loop as
+  /// FlatForest::predict_columnar. Requires out.size() >= block.n_rows. A
   /// root in the lint hot-path reachability proof.
   void predict_columnar(const data::ColumnBlock& block,
                         std::span<int> out) const;
@@ -162,7 +159,9 @@ class FlatClassifier {
   int n_classes() const noexcept { return static_cast<int>(per_class_.size()); }
   std::size_t n_nodes() const noexcept;
 
-  /// One forest per class, in class order (serve::save_bytes stores them).
+  /// One forest per class, in class order (serve::save_bytes stores them);
+  /// per_class()[c].predict(row) is class c's score, bit-identical to the
+  /// source model's margin.
   std::span<const FlatForest> per_class() const noexcept { return per_class_; }
 
   /// Every class forest's per-tree scale: GbdtClassifier folds stages as

@@ -8,14 +8,13 @@
 // harmonic tail last — and return predictions bit-identical to
 // Lumos5G::predict (enforced by tests/test_serve.cpp).
 //
-// Per-UE state lives in serve::Session: the C feature group needs the UE's
-// recent throughput/context history, so each UE keeps a small rolling
-// window of SampleRecords and the app feeds one record per second via
-// observe(). Batched prediction (predict_spans_columnar) over many
-// windows is chunked across lumos::ThreadPool and is bit-identical at any
-// LUMOS_THREADS setting.
-// (serve::Server keeps the same windows in its own preallocated ring
-// store; Session is the standalone form for apps and tests.)
+// A query is a window of one UE's recent SampleRecords, oldest first: the
+// C feature group needs the UE's throughput/context history. serve::Server
+// keeps those windows in its preallocated per-UE ring store; any other
+// caller passes spans over records it holds. Batched prediction
+// (predict_spans_columnar) is a sequential walk on caller-owned scratch;
+// Server::poll runs one such walk per lane over lumos::ThreadPool, and the
+// answers are bit-identical at any LUMOS_THREADS setting.
 #pragma once
 
 #include <cstdint>
@@ -31,39 +30,6 @@
 #include "serve/flat_model.h"
 
 namespace lumos::serve {
-
-/// Rolling per-UE context window. Bounded: observing past capacity drops
-/// the oldest sample. The buffer stays contiguous (feature extraction
-/// wants one span), and at the default capacity the shift is a few
-/// hundred bytes — noise next to model traversal.
-class Session {
- public:
-  /// Default capacity comfortably covers the facade's lag features
-  /// (FeatureConfig::throughput_lags, default 5) and harmonic window.
-  explicit Session(std::size_t capacity = 32) : capacity_(capacity) {
-    window_.reserve(capacity_);
-  }
-
-  void observe(const data::SampleRecord& sample) {
-    if (window_.size() == capacity_ && !window_.empty()) {
-      window_.erase(window_.begin());
-    }
-    // Bounded: capacity_ was reserved at construction and the erase above
-    // keeps size < capacity_, so this never reallocates.
-    window_.push_back(sample);
-  }
-
-  std::span<const data::SampleRecord> window() const noexcept {
-    return window_;
-  }
-  std::size_t size() const noexcept { return window_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  void clear() noexcept { window_.clear(); }
-
- private:
-  std::size_t capacity_;
-  std::vector<data::SampleRecord> window_;
-};
 
 /// Preallocated working set for Predictor::predict_spans_columnar. The
 /// caller owns it and reserves once (cold) for the largest batch it will
@@ -120,11 +86,6 @@ class Predictor {
       std::span<const data::SampleRecord> recent,
       std::size_t min_tier = 0) const;
 
-  [[nodiscard]] Expected<core::Prediction> predict(
-      const Session& session, std::size_t min_tier = 0) const {
-    return predict(session.window(), min_tier);
-  }
-
   /// The batched serving walk: out[i] receives windows[i]'s prediction
   /// (or its typed error), bit-identical to predict(windows[i], min_tier).
   /// Requires out.size() >= windows.size(). Instead of walking every tier
@@ -133,13 +94,14 @@ class Predictor {
   /// scattered into the scratch's column-major arena, and evaluated in one
   /// predict_columnar pass per model — many rows advance together through
   /// each tree level over contiguous feature columns. Windows no tier can
-  /// serve fall to the harmonic tail, exactly like predict(). Each slot is
-  /// written once, so the result is identical at any LUMOS_THREADS.
+  /// serve fall to the harmonic tail, exactly like predict(). The walk
+  /// runs on the calling thread and never enters the pool.
   ///
   /// Allocation-free given a scratch with max_windows() >= windows.size()
   /// and max_width() >= this->max_width() (reserve it cold; Server does so
-  /// at construction and reload). serve::Server::poll calls it; a root in
-  /// the lint reachability proof.
+  /// at construction and reload; tests/test_alloc.cpp counts it).
+  /// serve::Server::poll calls it once per lane; a root in the lint
+  /// reachability proof.
   void predict_spans_columnar(
       std::span<const std::span<const data::SampleRecord>> windows,
       std::span<Expected<core::Prediction>> out, PredictScratch& scratch,

@@ -32,7 +32,9 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
   // Every buffer the serving path touches is allocated here, once: the
   // admission ring, the poll() arenas, one columnar scratch per lane, and
   // the session store below. After construction, submit() and poll()
-  // never allocate (enforced by the lumos_lint reachability pass).
+  // never allocate, except the pool's one job record when a poll fans out
+  // over two or more lanes (the lumos_lint reachability pass checks the
+  // names; tests/test_alloc.cpp counts the calls).
   ring_.resize(cfg_.queue_capacity);
   batch_arena_.resize(cfg_.max_batch);
   window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);
@@ -346,7 +348,8 @@ std::size_t Server::poll(std::span<Response> out) {
   //    call (enforced by tests/test_shard.cpp lane crosses). A one-window
   //    poll (most polls at low load) is one chunk, which parallel_for runs
   //    inline without waking the pool. The lambda captures two pointers,
-  //    so std::function holds it without allocating.
+  //    so std::function holds it without allocating. This is the serving
+  //    path's only fan-out: each lane's walk is a sequential block loop.
   const struct {
     std::size_t windows, lanes, min_tier;
   } split{n_windows, std::min(scratch_.size(), n_windows), min_tier};

@@ -17,7 +17,9 @@
 //     backstops a watermark of 1.0). Within poll(), the batch's live
 //     windows are split into contiguous lanes predicted fork-join over
 //     the thread pool (see DESIGN §12), bit-identically to one
-//     whole-batch walk; a one-window poll runs inline.
+//     whole-batch walk; a one-window poll runs inline. The lanes are the
+//     serving path's only fan-out: each lane's columnar walk is a
+//     sequential, allocation-free loop on its own scratch.
 //
 //   * Per-request deadlines. Each accepted request carries an absolute
 //     expiry (relative budget stamped against the injected Clock at
@@ -184,13 +186,15 @@ class Server {
 
   // --- consumer side (single-threaded) -------------------------------------
 
-  /// The one serving step, allocation-free: drains up to min(max_batch,
-  /// out.size()) requests into caller-provided storage — expires overdue
-  /// ones, applies the depth-derived tier floor, feeds sessions, and
-  /// batch-predicts over the thread pool using the server's preallocated
-  /// arenas. Returns the number of responses written (admission order).
-  /// Also runs TTL eviction against the current clock. A caller empties
-  /// the queue by polling while queue_depth() > 0. This is the
+  /// The one serving step: drains up to min(max_batch, out.size())
+  /// requests into caller-provided storage — expires overdue ones, applies
+  /// the depth-derived tier floor, feeds sessions, and batch-predicts in
+  /// lanes over the thread pool using the server's preallocated arenas.
+  /// Returns the number of responses written (admission order). Also runs
+  /// TTL eviction against the current clock. A caller empties the queue by
+  /// polling while queue_depth() > 0. A one-lane poll never allocates; a
+  /// poll that fans out over two or more lanes allocates once, the pool's
+  /// job record (both counted by tests/test_alloc.cpp). This is the
   /// consumer-side hot-path root in the lint reachability proof.
   [[nodiscard]] std::size_t poll(std::span<Response> out);
 

@@ -266,12 +266,9 @@ TEST(ColumnarTreeFit, PredictBinnedMatchesRawPredict) {
   ml::GradientTree tree;
   tree.fit(binned, mapper, grad, hess, idx, ml::TreeConfig{});
 
-  std::vector<double> all(x.rows());
-  tree.predict_binned_all(binned, all);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const double raw = tree.predict(x.row(r));
     ASSERT_EQ(bits(raw), bits(tree.predict_binned(binned, r))) << "row " << r;
-    ASSERT_EQ(bits(raw), bits(all[r])) << "row " << r;
   }
 }
 

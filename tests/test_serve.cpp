@@ -647,11 +647,11 @@ TEST(FlatModel, GbdtClassifierMatchesPointerBitwise) {
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     const auto row = lmc().x.row(r);
     ASSERT_EQ(flat.predict(row), gbdt_cls().predict(row)) << "row " << r;
-    const auto da = flat.decision_function(row);
-    const auto db = gbdt_cls().decision_function(row);
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t c = 0; c < da.size(); ++c) {
-      ASSERT_EQ(bits(da[c]), bits(db[c])) << "row " << r << " class " << c;
+    const auto scores = gbdt_cls().decision_function(row);
+    ASSERT_EQ(flat.per_class().size(), scores.size());
+    for (std::size_t c = 0; c < scores.size(); ++c) {
+      ASSERT_EQ(bits(flat.per_class()[c].predict(row)), bits(scores[c]))
+          << "row " << r << " class " << c;
     }
   }
 }
@@ -789,26 +789,21 @@ TEST(Predictor, BatchMatchesIndividual) {
   const auto compiled = Predictor::compile(facade());
   ASSERT_TRUE(compiled.has_value());
 
-  std::vector<Session> sessions;
-  for (const auto& w : query_windows()) {
-    Session s;
-    for (const auto& sample : w) s.observe(sample);
-    sessions.push_back(std::move(s));
-  }
-  sessions.emplace_back();  // empty session: typed error expected
+  auto records = query_windows();
+  records.emplace_back();  // empty window: typed error expected
 
   // The batched API is the columnar walk the server runs.
-  std::vector<std::span<const data::SampleRecord>> windows;
-  for (const Session& s : sessions) windows.push_back(s.window());
+  const std::vector<std::span<const data::SampleRecord>> windows(
+      records.begin(), records.end());
   std::vector<Expected<core::Prediction>> batch(
-      sessions.size(),
+      windows.size(),
       Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
   PredictScratch scratch;
   scratch.reserve(windows.size(), compiled->max_width());
   compiled->predict_spans_columnar(windows, batch, scratch);
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const auto single = compiled->predict(sessions[i]);
-    ASSERT_EQ(batch[i].has_value(), single.has_value()) << "session " << i;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const auto single = compiled->predict(windows[i]);
+    ASSERT_EQ(batch[i].has_value(), single.has_value()) << "window " << i;
     if (!single.has_value()) {
       EXPECT_EQ(batch[i].error().code, single.error().code);
       continue;
@@ -872,20 +867,6 @@ TEST(ModelIo, RacingWritersProduceWholeArtifacts) {
     EXPECT_EQ(count_temp_files(path), 0u) << "round " << round;
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(Session, RollingWindowDropsOldest) {
-  Session s(/*capacity=*/4);
-  for (int i = 0; i < 6; ++i) {
-    data::SampleRecord rec;
-    rec.timestamp_s = static_cast<double>(i);
-    s.observe(rec);
-  }
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.window().front().timestamp_s, 2.0);
-  EXPECT_EQ(s.window().back().timestamp_s, 5.0);
-  s.clear();
-  EXPECT_EQ(s.size(), 0u);
 }
 
 }  // namespace

@@ -114,6 +114,15 @@ std::vector<Response> poll_until_empty(Server& server) {
   return all;
 }
 
+/// Appends `sample` to a UE's reference window, dropping the oldest record
+/// once it holds `capacity` (>= 1): the window the server's ring store
+/// must hand the model.
+void observe_into(std::vector<data::SampleRecord>& window,
+                  std::size_t capacity, const data::SampleRecord& sample) {
+  if (window.size() == capacity) window.erase(window.begin());
+  window.push_back(sample);
+}
+
 /// Submits one request and serves it immediately (no queue pressure).
 Response serve_one(Server& server, std::uint64_t ue,
                    const data::SampleRecord& sample) {
@@ -143,11 +152,11 @@ TEST(Server, ServesLikeDirectPredictorBitwise) {
   ManualClock clock;
   Server server(make_predictor(), ServerConfig{}, clock);
   const Predictor direct = make_predictor();
-  Session shadow(ServerConfig{}.session_capacity);
+  std::vector<data::SampleRecord> shadow;
 
   for (const auto& s : run_samples(0, 12)) {
     const Response r = serve_one(server, 1, s);
-    shadow.observe(s);
+    observe_into(shadow, ServerConfig{}.session_capacity, s);
     expect_same_result(r.result, direct.predict(shadow));
     clock.advance_ms(1000);
   }
@@ -553,7 +562,8 @@ TEST(Server, HugeTtlNeverEvicts) {
 // ---------- session store: randomized differential ----------
 
 /// The session rules spelled the slow, obvious way: a map keyed by use
-/// sequence is the LRU order, and one Session per UE holds its window.
+/// sequence is the LRU order, and one reference window per UE holds its
+/// newest session_capacity samples.
 /// Fed the server's responses in order, it must agree with the server on
 /// every window, eviction count and session count.
 class SessionModel {
@@ -574,16 +584,15 @@ class SessionModel {
         by_seq_.erase(victim);
         ++evicted_lru;
       }
-      it = by_ue_.emplace(ue, Entry{Session(cfg_.session_capacity), 0, 0})
-               .first;
+      it = by_ue_.emplace(ue, Entry{{}, 0, 0}).first;
     } else {
       by_seq_.erase(it->second.seq);
     }
     it->second.last_used_ms = now;
     it->second.seq = ++seq_;
     by_seq_.emplace(seq_, ue);
-    it->second.session.observe(sample);
-    return it->second.session.window();
+    observe_into(it->second.window, cfg_.session_capacity, sample);
+    return it->second.window;
   }
 
   /// The end-of-poll TTL sweep at the poll's `now`.
@@ -607,7 +616,7 @@ class SessionModel {
 
  private:
   struct Entry {
-    Session session;
+    std::vector<data::SampleRecord> window;
     std::uint64_t last_used_ms;
     std::uint64_t seq;
   };
