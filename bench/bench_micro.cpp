@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -487,9 +488,11 @@ BENCHMARK(BM_ServePredictBatch)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The resilient server loop end to end (requests/sec): admission control,
 // deadline stamping, session upkeep, the depth-derived tier floor, and the
-// batched predict, driven submit->step on a virtual clock on a pool of one
+// batched predict, driven submit->poll on a virtual clock on a pool of one
 // (so one lane). The delta against BM_ServePredictBatch is the loop's
-// overhead. The lane fan-out is measured on wall time by bench/e2e
+// overhead. Each iteration serves a fresh server; building it (the
+// Predictor copy and the server's arenas) and tearing it down are not
+// timed. The lane fan-out is measured on wall time by bench/e2e
 // (`capacity_rps`, `common.parallel.scaling`), not here: this row reads
 // the main thread's CPU time, which cannot see pool workers.
 void BM_ServerThroughput(benchmark::State& state) {
@@ -503,6 +506,7 @@ void BM_ServerThroughput(benchmark::State& state) {
     }
     return v;
   }();
+  const serve::Predictor& predictor = serve_predictor();  // trains once
   const auto threads = static_cast<std::size_t>(state.range(0));
   ThreadPool::global().set_threads(threads);
   serve::ServerConfig cfg;
@@ -510,19 +514,25 @@ void BM_ServerThroughput(benchmark::State& state) {
   cfg.max_batch = 16;
   std::vector<serve::Response> slots(cfg.max_batch);
   for (auto _ : state) {
+    state.PauseTiming();
     ManualClock clock;
-    serve::Server server(serve::Predictor(serve_predictor()), cfg, clock);
+    std::optional<serve::Server> server;
+    server.emplace(serve::Predictor(predictor), cfg, clock);
+    state.ResumeTiming();
     std::size_t i = 0;
     for (const auto& s : *stream) {
-      benchmark::DoNotOptimize(server.submit({i % 16, s, 0}));
+      benchmark::DoNotOptimize(server->submit({i % 16, s, 0}));
       if (++i % 16 == 0) {
         clock.advance_ms(1'000);
-        benchmark::DoNotOptimize(server.poll(slots));
+        benchmark::DoNotOptimize(server->poll(slots));
       }
     }
-    while (server.queue_depth() > 0) {
-      benchmark::DoNotOptimize(server.poll(slots));
+    while (server->queue_depth() > 0) {
+      benchmark::DoNotOptimize(server->poll(slots));
     }
+    state.PauseTiming();
+    server.reset();
+    state.ResumeTiming();
   }
   ThreadPool::global().set_threads(0);
   const auto total = state.iterations() *

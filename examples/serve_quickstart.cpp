@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/lumos5g.h"
@@ -102,9 +103,14 @@ int main() {
         std::bit_cast<std::uint64_t>(direct->throughput_mbps)) {
       ++mismatches;
     }
-    std::printf("  UE%zu: %7.0f Mbps  class %d  tier %d (%s)\n", i,
-                batch[i]->throughput_mbps, batch[i]->throughput_class,
-                batch[i]->tier, batch[i]->feature_group.c_str());
+    // A tier past the model chain is the harmonic tail.
+    const auto& tiers = predictor->tier_specs();
+    const auto tier = static_cast<std::size_t>(batch[i]->tier);
+    const std::string group =
+        tier < tiers.size() ? tiers[tier].name() : "harmonic";
+    std::printf("  UE%zu: %7.0f Mbps  class %d  tier %zu (%s)\n", i,
+                batch[i]->throughput_mbps, batch[i]->throughput_class, tier,
+                group.c_str());
   }
   std::filesystem::remove(path);
 

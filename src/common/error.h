@@ -87,10 +87,6 @@ class [[nodiscard]] Expected {
   /// Only valid when !has_value().
   const Error& error() const { return std::get<Error>(v_); }
 
-  T value_or(T fallback) const {
-    return has_value() ? std::get<T>(v_) : std::move(fallback);
-  }
-
  private:
   void check() const {
     if (!has_value()) {

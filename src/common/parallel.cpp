@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 namespace lumos {
 namespace {
@@ -24,8 +25,9 @@ std::size_t configured_threads() noexcept {
 }
 
 struct ThreadPool::Impl {
-  /// One blocking parallel_for invocation: chunks are claimed through the
-  /// atomic `next` cursor; `done` counts completed chunks.
+  /// The one parallel_for record, reused by every call (submitters are
+  /// serialized): chunks are claimed through the atomic `next` cursor;
+  /// `done` counts completed chunks.
   struct Job {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -42,9 +44,12 @@ struct ThreadPool::Impl {
 
   std::size_t n_threads = 1;
   std::vector<std::thread> workers;
-  std::mutex m;                ///< guards `job` / `stop`
-  std::condition_variable cv;  ///< wakes idle workers
-  std::shared_ptr<Job> job;    ///< currently running job, nullptr when idle
+  std::mutex m;                  ///< guards `posted` / `inside` / `stop`
+  std::condition_variable cv;    ///< wakes idle workers
+  std::condition_variable left;  ///< signalled when `inside` drops to 0
+  Job job;
+  bool posted = false;     ///< `job` is open to workers
+  std::size_t inside = 0;  ///< workers in `job`'s chunk loop
   bool stop = false;
   std::mutex submit_m;  ///< serializes submitters from distinct threads
 
@@ -75,17 +80,17 @@ struct ThreadPool::Impl {
 
   void worker_loop() {
     for (;;) {
-      std::shared_ptr<Job> j;
       {
         std::unique_lock<std::mutex> lk(m);
-        cv.wait(lk, [&] { return stop || job != nullptr; });
+        cv.wait(lk, [&] { return stop || posted; });
         if (stop) return;
-        j = job;
+        ++inside;
       }
-      run_chunks(*j);
-      // All chunks claimed: detach the job so idle workers stop seeing it.
+      run_chunks(job);
+      // All chunks claimed: close the job so idle workers stop seeing it.
       std::lock_guard<std::mutex> lk(m);
-      if (job == j) job = nullptr;
+      posted = false;
+      if (--inside == 0) left.notify_one();
     }
   }
 
@@ -159,31 +164,38 @@ void ThreadPool::parallel_for(
   }
 
   std::lock_guard<std::mutex> submit(impl_->submit_m);
-  auto j = std::make_shared<Impl::Job>();
-  j->begin = begin;
-  j->end = end;
-  j->grain = grain;
-  j->n_chunks = n_chunks;
-  j->fn = &fn;
+  Impl::Job& j = impl_->job;
   {
-    std::lock_guard<std::mutex> lk(impl_->m);
-    impl_->job = j;
+    // A worker may still be leaving the previous call's chunk loop, which
+    // reads the record: wait for it before reusing the record.
+    std::unique_lock<std::mutex> lk(impl_->m);
+    impl_->left.wait(lk, [&] { return impl_->inside == 0; });
+    j.begin = begin;
+    j.end = end;
+    j.grain = grain;
+    j.n_chunks = n_chunks;
+    j.fn = &fn;
+    j.next.store(0, std::memory_order_relaxed);
+    j.done.store(0, std::memory_order_relaxed);
+    j.error = nullptr;
+    j.error_chunk = static_cast<std::size_t>(-1);
+    impl_->posted = true;
   }
   impl_->cv.notify_all();
 
-  Impl::run_chunks(*j);  // the submitting thread works too
+  Impl::run_chunks(j);  // the submitting thread works too
 
   {
-    std::unique_lock<std::mutex> lk(j->m);
-    j->cv.wait(lk, [&] {
-      return j->done.load(std::memory_order_acquire) == j->n_chunks;
+    std::unique_lock<std::mutex> lk(j.m);
+    j.cv.wait(lk, [&] {
+      return j.done.load(std::memory_order_acquire) == j.n_chunks;
     });
   }
   {
     std::lock_guard<std::mutex> lk(impl_->m);
-    if (impl_->job == j) impl_->job = nullptr;
+    impl_->posted = false;
   }
-  if (j->error) std::rethrow_exception(j->error);
+  if (j.error) std::rethrow_exception(std::exchange(j.error, nullptr));
 }
 
 }  // namespace lumos

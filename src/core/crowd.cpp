@@ -19,7 +19,6 @@ CrowdMap CrowdMap::build(const std::vector<Contribution>& uploads,
                          std::int64_t cell_px) {
   CrowdMap out;
   out.cell_px_ = std::max<std::int64_t>(1, cell_px);
-  out.n_uploads_ = uploads.size();
 
   struct UserAcc {
     double sum = 0.0;

@@ -47,13 +47,9 @@ class CrowdMap {
   /// the "trustworthy" fraction of the map.
   double fraction_with_support(std::size_t min_contributors) const noexcept;
 
-  std::size_t total_contributions() const noexcept { return n_uploads_; }
-  std::int64_t cell_px() const noexcept { return cell_px_; }
-
  private:
   std::map<std::pair<std::int64_t, std::int64_t>, CrowdCellStats> cells_;
   std::int64_t cell_px_ = 2;
-  std::size_t n_uploads_ = 0;
 };
 
 }  // namespace lumos::core

@@ -11,7 +11,7 @@ namespace lumos::core {
 /// is the input most often unavailable), then drops C (lag features need
 /// an uninterrupted history and are the most fragile at query time).
 std::vector<data::FeatureSetSpec> derive_tiers(
-    const data::FeatureSetSpec& primary, const FallbackConfig& fb) {
+    const data::FeatureSetSpec& primary) {
   std::vector<data::FeatureSetSpec> chain{primary};
   const auto push_unique = [&chain](const data::FeatureSetSpec& s) {
     if (!s.L && !s.M && !s.T && !s.C) return;  // empty spec is not a tier
@@ -19,11 +19,6 @@ std::vector<data::FeatureSetSpec> derive_tiers(
       chain.push_back(s);
     }
   };
-  if (!fb.enabled) return chain;
-  if (!fb.tiers.empty()) {
-    for (const auto& s : fb.tiers) push_unique(s);
-    return chain;
-  }
   if (primary.T) {
     data::FeatureSetSpec s = primary;
     s.T = false;
@@ -38,17 +33,39 @@ std::vector<data::FeatureSetSpec> derive_tiers(
   return chain;
 }
 
+Expected<Prediction> harmonic_tail(std::span<const data::SampleRecord> recent,
+                                   const data::FeatureConfig& features,
+                                   std::size_t n_tiers) {
+  double inv_sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t k = recent.size(); k-- > 0 && n < kHarmonicWindow;) {
+    const double v = recent[k].throughput_mbps;
+    if (std::isfinite(v) && v > 0.0) {
+      inv_sum += 1.0 / v;
+      ++n;
+    }
+  }
+  if (n == 0) {
+    // Static message: the hot path never formats (see lumos_lint's
+    // hot-path-alloc pass); the typed code is the contract.
+    return Error{ErrorCode::kWindowUnusable, "window unusable"};
+  }
+  Prediction p;
+  p.throughput_mbps = static_cast<double>(n) / inv_sum;
+  p.throughput_class = data::throughput_class(p.throughput_mbps, features);
+  p.tier = static_cast<int>(n_tiers);
+  return p;
+}
+
 Lumos5G::Lumos5G(Lumos5GConfig cfg)
     : cfg_(std::move(cfg)),
-      tier_specs_(derive_tiers(cfg_.feature_spec, cfg_.fallback)) {
+      tier_specs_(derive_tiers(cfg_.feature_spec)) {
   tiers_.reserve(tier_specs_.size());
-  tier_group_names_.reserve(tier_specs_.size());
   tier_widths_.reserve(tier_specs_.size());
   for (const auto& spec : tier_specs_) {
     tiers_.push_back(Tier{ml::GbdtRegressor(cfg_.gbdt),
                           ml::GbdtClassifier(cfg_.gbdt),
                           data::feature_names(spec, cfg_.features), false});
-    tier_group_names_.push_back(spec.name());
     tier_widths_.push_back(data::feature_width(spec, cfg_.features));
     max_width_ = std::max(max_width_, tier_widths_.back());
   }
@@ -139,35 +156,9 @@ Expected<Prediction> Lumos5G::predict(
     p.throughput_mbps = tier.regressor.predict(row);
     p.throughput_class = tier.classifier.predict(row);
     p.tier = static_cast<int>(i);
-    p.feature_group = tier_group_names_[i];  // SSO copy: group names are short
     return p;
   }
-  if (cfg_.fallback.enabled && cfg_.fallback.harmonic_tail) {
-    // Harmonic mean of the most recent positive finite throughputs — the
-    // classic ABR estimator; robust to a single outlier spike.
-    double inv_sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = recent.size();
-         k-- > 0 && n < cfg_.fallback.harmonic_window;) {
-      const double v = recent[k].throughput_mbps;
-      if (std::isfinite(v) && v > 0.0) {
-        inv_sum += 1.0 / v;
-        ++n;
-      }
-    }
-    if (n > 0) {
-      Prediction p;
-      p.throughput_mbps = static_cast<double>(n) / inv_sum;
-      p.throughput_class =
-          data::throughput_class(p.throughput_mbps, cfg_.features);
-      p.tier = static_cast<int>(tier_specs_.size());
-      p.feature_group = "harmonic";
-      return p;
-    }
-  }
-  // Static message: the hot path never formats (see lumos_lint's
-  // hot-path-alloc pass); the typed code is the contract.
-  return Error{ErrorCode::kWindowUnusable, "window unusable"};
+  return harmonic_tail(recent, cfg_.features, tier_specs_.size());
 }
 
 const std::vector<std::string>& Lumos5G::feature_names() const noexcept {

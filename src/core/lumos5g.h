@@ -26,35 +26,23 @@
 
 namespace lumos::core {
 
-/// Graceful-degradation policy for prediction.
-struct FallbackConfig {
-  bool enabled = true;
-
-  /// Explicit tier chain, most capable first. Leave empty to derive it
-  /// from the primary feature spec: drop T (adding L so location signal
-  /// survives), then drop C (lag features are the most fragile input).
-  /// The primary spec is always tier 0 whether listed here or not.
-  std::vector<data::FeatureSetSpec> tiers;
-
-  /// Final non-ML tail: harmonic mean of the most recent finite
-  /// throughput samples when no model tier can fire.
-  bool harmonic_tail = true;
-  std::size_t harmonic_window = 5;
-};
-
 struct Lumos5GConfig {
   data::FeatureSetSpec feature_spec = data::FeatureSetSpec::parse("L+M");
   data::FeatureConfig features{};
   ml::GbdtConfig gbdt{};
-  FallbackConfig fallback{};
 };
 
-/// The fallback tier chain a config derives, most capable first (tier 0
-/// is always `primary`): drop T, adding L, then drop C — or the explicit
-/// FallbackConfig::tiers. Lumos5G builds its chain with it, and the
-/// artifact reader re-derives it to check a stored tier count.
+/// The fallback tier chain, most capable first (tier 0 is always
+/// `primary`): drop T, adding L so a location signal survives, then drop
+/// C (lag features are the most fragile input). Lumos5G builds its chain
+/// with it, and the artifact reader re-derives it to check a stored tier
+/// count.
 [[nodiscard]] std::vector<data::FeatureSetSpec> derive_tiers(
-    const data::FeatureSetSpec& primary, const FallbackConfig& fb);
+    const data::FeatureSetSpec& primary);
+
+/// How many of the most recent positive finite throughputs the harmonic
+/// tail averages.
+inline constexpr std::size_t kHarmonicWindow = 5;
 
 /// Prediction made for one context window.
 struct Prediction {
@@ -63,10 +51,17 @@ struct Prediction {
   /// Which tier answered: index into Lumos5G::tier_specs() for a model
   /// tier; tier_specs().size() for the harmonic-mean tail.
   int tier = 0;
-  /// Feature-group name of the answering tier ("T+M+C", "L+M", ...), or
-  /// "harmonic" for the tail.
-  std::string feature_group;
 };
+
+/// The non-ML tail that ends every fallback walk (Lumos5G::predict and
+/// serve::Predictor's): the harmonic mean of the newest kHarmonicWindow
+/// positive finite throughputs in `recent` — the classic ABR estimator,
+/// robust to a single outlier spike — classed by `features`' thresholds
+/// and reported as tier `n_tiers`. Errors with kWindowUnusable when the
+/// window holds no such throughput.
+[[nodiscard]] Expected<Prediction> harmonic_tail(
+    std::span<const data::SampleRecord> recent,
+    const data::FeatureConfig& features, std::size_t n_tiers);
 
 class Lumos5G {
  public:
@@ -138,9 +133,8 @@ class Lumos5G {
   Lumos5GConfig cfg_;
   std::vector<data::FeatureSetSpec> tier_specs_;
   std::vector<Tier> tiers_;
-  // Precomputed at construction so predict() never formats a group name or
-  // recomputes a row width per call (both would allocate on the hot path).
-  std::vector<std::string> tier_group_names_;
+  // Precomputed at construction so predict() never recomputes a row width
+  // per call.
   std::vector<std::size_t> tier_widths_;
   std::size_t max_width_ = 0;
   bool trained_ = false;

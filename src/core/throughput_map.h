@@ -48,8 +48,6 @@ class ThroughputMap {
   /// ' ' unmeasured. Rendering is capped to `max_dim` cells per side.
   std::string render_ascii(int max_dim = 80) const;
 
-  std::int64_t cell_px() const noexcept { return cell_px_; }
-
  private:
   std::map<std::pair<std::int64_t, std::int64_t>, CellStats> cells_;
   std::int64_t cell_px_ = 2;

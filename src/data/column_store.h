@@ -10,7 +10,7 @@
 // over ColumnBlock views of it (serve::FlatForest::predict_columnar).
 //
 // The store is plain preallocated memory: reshape() (cold) is the only
-// allocation site, and put_row()/set() on a reserved store are what the
+// allocation site, and put_row() on a reserved store is what the
 // serving hot path uses, keeping the lint reachability proof clean.
 #pragma once
 
@@ -67,9 +67,6 @@ class ColumnStore {
     return v_.data() + f * cap_;
   }
 
-  void set(std::size_t r, std::size_t f, double v) noexcept {
-    v_[f * cap_ + r] = v;
-  }
   double at(std::size_t r, std::size_t f) const noexcept {
     return v_[f * cap_ + r];
   }

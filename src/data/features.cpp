@@ -365,15 +365,6 @@ void Standardizer::transform_sequences(
   }
 }
 
-std::vector<double> Standardizer::transform_row(
-    std::span<const double> row) const {
-  std::vector<double> out(row.size());
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    out[c] = (row[c] - mean_[c]) / sd_[c];
-  }
-  return out;
-}
-
 void TargetScaler::fit(std::span<const double> y) {
   mean_ = 0.0;
   sd_ = 1.0;

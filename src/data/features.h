@@ -146,7 +146,6 @@ class Standardizer {
 
   void transform(ml::FeatureMatrix& x) const;
   void transform_sequences(std::vector<nn::SeqSample>& samples) const;
-  std::vector<double> transform_row(std::span<const double> row) const;
 
   const std::vector<double>& mean() const noexcept { return mean_; }
   const std::vector<double>& stddev() const noexcept { return sd_; }

@@ -46,8 +46,6 @@ class Grid {
   /// Center of a cell in local meters.
   [[nodiscard]] Vec2 center_of(GridCell c) const noexcept;
 
-  double cell_size_m() const noexcept { return cell_m_; }
-
  private:
   double cell_m_;
 };

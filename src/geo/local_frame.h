@@ -50,8 +50,6 @@ class LocalFrame {
   /// Converts local meters back to a geographic coordinate.
   LatLon to_geo(const Vec2& v) const noexcept;
 
-  const LatLon& origin() const noexcept { return origin_; }
-
  private:
   LatLon origin_;
   double m_per_deg_lat_;

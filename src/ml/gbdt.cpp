@@ -172,30 +172,41 @@ void GbdtClassifier::fit(const FeatureMatrix& x, std::span<const int> y,
   }
 }
 
-std::vector<double> GbdtClassifier::decision_function(
-    std::span<const double> row) const {
+double GbdtClassifier::margin(std::size_t c,
+                              std::span<const double> row) const {
   const auto kc = static_cast<std::size_t>(n_classes_);
-  std::vector<double> score(base_.begin(), base_.end());
   const double lr_scale = cfg_.learning_rate *
                           static_cast<double>(n_classes_ - 1) /
                           static_cast<double>(n_classes_);
-  for (std::size_t stage = 0; stage * kc < trees_.size(); ++stage) {
-    for (std::size_t c = 0; c < kc; ++c) {
-      score[c] += lr_scale * trees_[stage * kc + c].predict(row);
-    }
+  double score = base_[c];
+  for (std::size_t t = c; t < trees_.size(); t += kc) {
+    score += lr_scale * trees_[t].predict(row);
   }
+  return score;
+}
+
+std::vector<double> GbdtClassifier::decision_function(
+    std::span<const double> row) const {
+  std::vector<double> score(base_.size());
+  for (std::size_t c = 0; c < score.size(); ++c) score[c] = margin(c, row);
   return score;
 }
 
 int GbdtClassifier::predict(std::span<const double> row) const {
   if (n_classes_ == 0) return 0;
-  const auto score = decision_function(row);
-  return static_cast<int>(
-      std::max_element(score.begin(), score.end()) - score.begin());
-}
-
-std::vector<double> GbdtClassifier::feature_importance() const {
-  return normalized_gains(trees_, n_features_);
+  // The argmax of decision_function without building its vector: a later
+  // class wins only on a strictly larger margin, so the first maximum
+  // wins, as with std::max_element.
+  int label = 0;
+  double best = margin(0, row);
+  for (int c = 1; c < n_classes_; ++c) {
+    const double score = margin(static_cast<std::size_t>(c), row);
+    if (best < score) {
+      best = score;
+      label = c;
+    }
+  }
+  return label;
 }
 
 }  // namespace lumos::ml

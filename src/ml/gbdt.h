@@ -1,7 +1,8 @@
 // Gradient-boosted decision trees (Friedman 2001) — the paper's primary
 // classical model (§5.2 "GDBT"). Regression boosts squared error;
 // classification boosts the multiclass softmax cross-entropy with Newton
-// leaf values. Both report per-feature global gain importance (Fig. 22).
+// leaf values. The regressor reports per-feature global gain importance
+// (Fig. 22).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +62,6 @@ class GbdtClassifier final : public Classifier {
   [[nodiscard]] std::vector<double> decision_function(
       std::span<const double> row) const;
 
-  [[nodiscard]] std::vector<double> feature_importance() const;
-
   const GbdtConfig& config() const noexcept { return cfg_; }
 
   // --- fitted-state access for flattening (serve::FlatClassifier) and tests ---
@@ -74,6 +73,9 @@ class GbdtClassifier final : public Classifier {
   std::size_t n_features() const noexcept { return n_features_; }
 
  private:
+  /// Class `c`'s raw score: its prior plus its trees, in stage order.
+  double margin(std::size_t c, std::span<const double> row) const;
+
   GbdtConfig cfg_;
   BinMapper mapper_;
   int n_classes_ = 0;

@@ -30,7 +30,6 @@ class OrdinaryKriging final : public Regressor {
   void fit(const FeatureMatrix& x, std::span<const double> y) override;
   [[nodiscard]] double predict(std::span<const double> row) const override;
 
-  double nugget() const noexcept { return nugget_; }
   double sill() const noexcept { return sill_; }
   double range() const noexcept { return range_; }
 

@@ -27,7 +27,6 @@ class Adam {
   void reset(const std::vector<Param*>& params);
 
   const AdamConfig& config() const noexcept { return cfg_; }
-  void set_lr(double lr) noexcept { cfg_.lr = lr; }
 
  private:
   AdamConfig cfg_;

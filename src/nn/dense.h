@@ -29,9 +29,6 @@ class Dense {
 
   std::vector<Param*> params();
 
-  std::size_t in_dim() const noexcept { return weight_.w.cols(); }
-  std::size_t out_dim() const noexcept { return weight_.w.rows(); }
-
  private:
   Param weight_;  ///< (out x in)
   Param bias_;    ///< (1 x out)

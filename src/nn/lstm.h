@@ -51,9 +51,6 @@ class LSTMCell {
 
   std::vector<Param*> params();
 
-  std::size_t input_dim() const noexcept { return wx_.w.cols(); }
-  std::size_t hidden_dim() const noexcept { return hidden_; }
-
  private:
   void gates(const Matrix& x, const Matrix& h_prev, Matrix& z) const;
 

@@ -242,25 +242,6 @@ data::FeatureConfig read_feature_config(Reader& r) {
   return c;
 }
 
-void write_fallback_config(Writer& w, const core::FallbackConfig& c) {
-  w.boolean(c.enabled);
-  w.u64(c.tiers.size());
-  for (const auto& s : c.tiers) write_spec(w, s);
-  w.boolean(c.harmonic_tail);
-  w.u64(c.harmonic_window);
-}
-
-core::FallbackConfig read_fallback_config(Reader& r) {
-  core::FallbackConfig c;
-  c.enabled = r.boolean();
-  const std::size_t n = r.count(4);
-  c.tiers.resize(n);
-  for (auto& s : c.tiers) s = read_spec(r);
-  c.harmonic_tail = r.boolean();
-  c.harmonic_window = static_cast<std::size_t>(r.u64());
-  return c;
-}
-
 /// A forest record's size, for save_bytes to reserve its buffer once.
 std::size_t forest_bytes(const FlatForest& f) noexcept {
   return kMinForestBytes + 4 * f.roots().size() + kNodeBytes * f.nodes().size();
@@ -424,7 +405,6 @@ std::string save_bytes(const core::Lumos5G& model) {
   const core::Lumos5GConfig& cfg = model.config();
   write_spec(w, cfg.feature_spec);
   write_feature_config(w, cfg.features);
-  write_fallback_config(w, cfg.fallback);
   w.u64(n_tiers);
   for (std::size_t i = 0; i < n_tiers; ++i) {
     w.boolean(stored(i));
@@ -445,19 +425,18 @@ Expected<Predictor> load_predictor(std::string_view bytes) {
   Reader r(*payload);
   const data::FeatureSetSpec spec = read_spec(r);
   const data::FeatureConfig features = read_feature_config(r);
-  core::FallbackConfig fallback = read_fallback_config(r);
   if (!r.ok()) return parse_error("malformed lumos5g config block");
   if (const char* why = data::feature_config_error(features)) {
     return parse_error(std::string("invalid stored feature config: ") + why);
   }
-  // The stored tier count must match the chain the config derives, so an
+  // The stored tier count must match the chain the spec derives, so an
   // artifact cannot silently rebind tiers.
-  auto chain = core::derive_tiers(spec, fallback);
+  auto chain = core::derive_tiers(spec);
   if (r.count(1) != chain.size() || !r.ok()) {
     return parse_error("stored tier count disagrees with the tier chain "
-                       "derived from the stored config");
+                       "derived from the stored feature spec");
   }
-  Predictor p(features, std::move(fallback), std::move(chain));
+  Predictor p(features, std::move(chain));
   const auto forest = [](FlatParts& f) {
     return FlatForest(std::move(f.nodes), std::move(f.roots), f.base, f.scale);
   };

@@ -2,7 +2,7 @@
 // consumer story (§2.3, Fig. 4): a per-area predictor is trained once,
 // saved to a file, shipped to devices, and reloaded for online queries.
 //
-// Format v3 (every fixed-width field a little-endian word — independent
+// Format v4 (every fixed-width field a little-endian word — independent
 // of host endianness and padding):
 //
 //   offset 0   u32  magic "L5GM"
@@ -19,10 +19,6 @@
 //     i32      FeatureConfig::throughput_lags   (offset 21)
 //     i32      FeatureConfig::horizon
 //     f64      low_mbps, high_mbps, max_gap_s
-//     u8       FallbackConfig::enabled
-//     u64      explicit fallback tier count, then 4 x u8 per tier spec
-//     u8       harmonic_tail
-//     u64      harmonic_window
 //   u64        tier count (must equal the chain core::derive_tiers gives)
 //   per tier   u8 trained; when nonzero:
 //                forest   the regressor
@@ -67,7 +63,7 @@
 // Versioning policy: any change to the byte layout or the hash bumps
 // kFormatVersion. Readers accept exactly the version they were built for —
 // a serving fleet upgrades its binary before its model artifacts, never
-// the other way around. Other-version artifacts (v1 and v2 included) are
+// the other way around. Other-version artifacts (v1 to v3 included) are
 // rejected with kVersionMismatch (carrying both versions in the message)
 // rather than best-effort parsed.
 #pragma once
@@ -89,8 +85,9 @@ inline constexpr char kMagic[4] = {'L', '5', 'G', 'M'};
 /// Current (and only accepted) format version. v2 replaced v1's FNV-1a
 /// envelope hash; v3 replaced the training-side tree records (pointer
 /// nodes, split gains, bin mappers, GBDT settings) with the 16-byte
-/// serving nodes.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// serving nodes; v4 dropped the fallback settings from the config block
+/// (the tier chain and the harmonic tail are fixed rules).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Kind tag stored in the artifact header. The trained Lumos5G facade is
 /// the only kind: tags 0-3 (standalone GBDT and Random Forest models) and

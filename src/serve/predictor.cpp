@@ -1,8 +1,6 @@
 #include "serve/predictor.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 #include <utility>
 
 #include "common/contracts.h"
@@ -10,16 +8,12 @@
 namespace lumos::serve {
 
 Predictor::Predictor(data::FeatureConfig features,
-                     core::FallbackConfig fallback,
                      std::vector<data::FeatureSetSpec> specs)
     : features_(std::move(features)),
-      fallback_(std::move(fallback)),
       specs_(std::move(specs)),
       tiers_(specs_.size()) {
-  tier_names_.reserve(specs_.size());
   tier_widths_.reserve(specs_.size());
   for (const data::FeatureSetSpec& spec : specs_) {
-    tier_names_.push_back(spec.name());
     tier_widths_.push_back(data::feature_width(spec, features_));
     max_width_ = std::max(max_width_, tier_widths_.back());
   }
@@ -30,8 +24,7 @@ Expected<Predictor> Predictor::compile(const core::Lumos5G& model) {
     return Error{ErrorCode::kNotTrained,
                  "Predictor::compile: facade has no trained tier"};
   }
-  Predictor p(model.config().features, model.config().fallback,
-              model.tier_specs());
+  Predictor p(model.config().features, model.tier_specs());
   for (std::size_t i = 0; i < p.specs_.size(); ++i) {
     if (!model.tier_trained(i)) continue;
     p.tiers_[i].regressor = FlatForest::flatten(model.tier_regressor(i));
@@ -65,40 +58,9 @@ Expected<core::Prediction> Predictor::predict(
     p.throughput_mbps = tier.regressor.predict(row);
     p.throughput_class = tier.classifier.predict(row);
     p.tier = static_cast<int>(i);
-    p.feature_group = tier_names_[i];  // SSO copy: tier names are short
     return p;
   }
-  return tail_predict(recent);
-}
-
-Expected<core::Prediction> Predictor::tail_predict(
-    std::span<const data::SampleRecord> recent) const {
-  if (fallback_.enabled && fallback_.harmonic_tail) {
-    // Same harmonic tail as the facade: harmonic mean of the most recent
-    // positive finite throughputs.
-    double inv_sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = recent.size();
-         k-- > 0 && n < fallback_.harmonic_window;) {
-      const double v = recent[k].throughput_mbps;
-      if (std::isfinite(v) && v > 0.0) {
-        inv_sum += 1.0 / v;
-        ++n;
-      }
-    }
-    if (n > 0) {
-      core::Prediction p;
-      p.throughput_mbps = static_cast<double>(n) / inv_sum;
-      p.throughput_class =
-          data::throughput_class(p.throughput_mbps, features_);
-      p.tier = static_cast<int>(specs_.size());
-      p.feature_group = "harmonic";
-      return p;
-    }
-  }
-  // Static message: the hot path never formats. The code plus the window
-  // length on the Response are enough for the caller to diagnose.
-  return Error{ErrorCode::kWindowUnusable, "window unusable"};
+  return core::harmonic_tail(recent, features_, specs_.size());
 }
 
 void Predictor::predict_spans_columnar(
@@ -159,15 +121,14 @@ void Predictor::predict_spans_columnar(
       p.throughput_mbps = scratch.reg_[j];
       p.throughput_class = scratch.cls_[j];
       p.tier = static_cast<int>(t);
-      p.feature_group = tier_names_[t];  // SSO copy: tier names are short
-      out[scratch.packed_[j]] = std::move(p);
+      out[scratch.packed_[j]] = p;
     }
   }
 
   // Whatever no tier could serve falls to the same tail as predict().
   for (std::size_t k = 0; k < n_pending; ++k) {
     const std::uint32_t idx = scratch.pending_[k];
-    out[idx] = tail_predict(windows[idx]);
+    out[idx] = core::harmonic_tail(windows[idx], features_, specs_.size());
   }
 }
 

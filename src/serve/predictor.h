@@ -5,8 +5,8 @@
 // artifact reader, checks and reloads them without building the facade's
 // pointer trees. Queries then walk the same fallback chain as the facade
 // — first trained tier whose features the window can produce answers,
-// harmonic tail last — and return predictions bit-identical to
-// Lumos5G::predict (enforced by tests/test_serve.cpp).
+// the facade's own core::harmonic_tail last — and return predictions
+// bit-identical to Lumos5G::predict (enforced by tests/test_serve.cpp).
 //
 // A query is a window of one UE's recent SampleRecords, oldest first: the
 // C feature group needs the UE's throughput/context history. serve::Server
@@ -141,23 +141,15 @@ class Predictor {
   };
 
   /// The tier-chain setup compile() and load_predictor() share: every
-  /// tier's name and feature-row width, and the widest; no tier compiled.
-  Predictor(data::FeatureConfig features, core::FallbackConfig fallback,
+  /// tier's feature-row width, and the widest; no tier compiled.
+  Predictor(data::FeatureConfig features,
             std::vector<data::FeatureSetSpec> specs);
 
-  /// The post-tier fallback shared by predict() and the columnar walk:
-  /// harmonic mean of recent positive throughputs when enabled, else the
-  /// static kWindowUnusable error.
-  Expected<core::Prediction> tail_predict(
-      std::span<const data::SampleRecord> recent) const;
-
   data::FeatureConfig features_;
-  core::FallbackConfig fallback_;
   std::vector<data::FeatureSetSpec> specs_;
   std::vector<FlatTier> tiers_;
-  // Precomputed at compile() so predict() never formats a name or
-  // recomputes a width per call (both would allocate on the hot path).
-  std::vector<std::string> tier_names_;
+  // Precomputed at compile() so predict() never recomputes a width per
+  // call.
   std::vector<std::size_t> tier_widths_;
   std::size_t max_width_ = 0;
 };

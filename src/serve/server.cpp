@@ -32,9 +32,8 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
   // Every buffer the serving path touches is allocated here, once: the
   // admission ring, the poll() arenas, one columnar scratch per lane, and
   // the session store below. After construction, submit() and poll()
-  // never allocate, except the pool's one job record when a poll fans out
-  // over two or more lanes (the lumos_lint reachability pass checks the
-  // names; tests/test_alloc.cpp counts the calls).
+  // never allocate (the lumos_lint reachability pass checks the names;
+  // tests/test_alloc.cpp counts the calls).
   ring_.resize(cfg_.queue_capacity);
   batch_arena_.resize(cfg_.max_batch);
   window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);

@@ -192,10 +192,9 @@ class Server {
   /// lanes over the thread pool using the server's preallocated arenas.
   /// Returns the number of responses written (admission order). Also runs
   /// TTL eviction against the current clock. A caller empties the queue by
-  /// polling while queue_depth() > 0. A one-lane poll never allocates; a
-  /// poll that fans out over two or more lanes allocates once, the pool's
-  /// job record (both counted by tests/test_alloc.cpp). This is the
-  /// consumer-side hot-path root in the lint reachability proof.
+  /// polling while queue_depth() > 0. A poll never allocates, at any lane
+  /// count (tests/test_alloc.cpp counts both). This is the consumer-side
+  /// hot-path root in the lint reachability proof.
   [[nodiscard]] std::size_t poll(std::span<Response> out);
 
   /// The documented occupancy -> minimum-tier mapping (monotone in depth).

@@ -42,7 +42,6 @@ class Environment {
   void add_reflective_zone(ReflectiveZone z) { zones_.push_back(z); }
 
   const std::vector<Panel>& panels() const noexcept { return panels_; }
-  const std::vector<Wall>& walls() const noexcept { return walls_; }
 
   /// Whether panel locations/orientations were surveyed (needed for the T
   /// feature group; false for the Loop area per the paper).
@@ -54,7 +53,6 @@ class Environment {
   /// Mean (pre-fading, pre-sharing) capacity of panel index `i` for `ue`.
   double mean_capacity(std::size_t i, const UEContext& ue) const noexcept;
 
-  const PropagationModel& propagation() const noexcept { return prop_; }
   const FadingConfig& fading_config() const noexcept { return fading_cfg_; }
   const LteModel& lte() const noexcept { return lte_; }
 

@@ -29,8 +29,6 @@ class ShadowingProcess {
     return std::exp(x_);
   }
 
-  double current() const noexcept { return std::exp(x_); }
-
  private:
   FadingConfig cfg_;
   double x_ = 0.0;

@@ -70,7 +70,6 @@ class FaultInjector {
                           const std::string& out_path) const;
 
   const FaultConfig& config() const noexcept { return cfg_; }
-  std::uint64_t seed() const noexcept { return seed_; }
 
  private:
   FaultConfig cfg_;

@@ -15,8 +15,10 @@
 //     the harmonic tail, expire requests, evict by LRU and sweep by TTL;
 //   * Predictor::predict_spans_columnar over three row blocks, on a
 //     reserved scratch at pool 4, never allocates;
-//   * a poll that fans out over two or more lanes allocates at most once:
-//     the pool's own job record.
+//   * the per-window walks, Lumos5G::predict and Predictor::predict, never
+//     allocate after a warm-up call, whichever tier or the tail answers;
+//   * a poll that fans out over two or more lanes never allocates either:
+//     the pool reuses its one job record.
 //
 // Each test pins the pool size it needs, so the results do not depend on
 // LUMOS_THREADS.
@@ -139,9 +141,6 @@ struct Traffic {
   std::size_t polls = 0;
   std::size_t degraded_responses = 0;  ///< answered under min_tier >= 1
   std::size_t multi_window_polls = 0;  ///< polls that answered 2+ requests
-  /// Polls that allocated more than once, or a one-response poll that
-  /// allocated at all.
-  std::size_t polls_over_one_job = 0;
 };
 
 /// Drives `server` with seeded traffic: each round submits a burst (now
@@ -176,15 +175,12 @@ Traffic drive(Server& server, ManualClock& clock, std::size_t rounds,
     clock.advance_ms(rng.bernoulli(0.1) ? 250 + rng.uniform_int(300)
                                         : rng.uniform_int(20));
     std::size_t n = 0;
-    const std::size_t allocs =
-        allocations_in([&] { n = server.poll(out); });
-    t.poll_allocations += allocs;
+    t.poll_allocations += allocations_in([&] { n = server.poll(out); });
     ++t.polls;
     for (std::size_t i = 0; i < n; ++i) {
       if (out[i].min_tier >= 1) ++t.degraded_responses;
     }
     if (n >= 2) ++t.multi_window_polls;
-    if (allocs > (n >= 2 ? 1u : 0u)) ++t.polls_over_one_job;
   }
   return t;
 }
@@ -269,13 +265,96 @@ TEST(AllocFree, PredictSpansColumnarNeverAllocatesAtPoolFour) {
   ThreadPool::global().set_threads(0);
 }
 
-TEST(AllocFree, MultiLanePollAllocatesOnlyThePoolJob) {
+// The two per-window walks: Lumos5G::predict, the pointer-tree oracle,
+// and Predictor::predict, the flat reference walk. One warm-up call per
+// walk grows its thread_local row arena (the blessed amortized growth);
+// after that no call allocates, whichever tier answers: full, degraded
+// past T, a one-record window only L+M can serve, or the harmonic tail.
+TEST(AllocFree, PerWindowWalksNeverAllocate) {
+  const auto& ds = airport_ds();
+  const auto runs = ds.runs();
+  const auto& run = runs.front();
+  std::vector<data::SampleRecord> full;
+  for (std::size_t i = 10; i < 18; ++i) full.push_back(ds[run[i]]);
+  std::vector<data::SampleRecord> no_panel = full;  // T cannot be built
+  for (data::SampleRecord& s : no_panel) {
+    s.ue_panel_distance_m = data::SampleRecord::nan_value();
+    s.theta_p_deg = data::SampleRecord::nan_value();
+    s.theta_m_deg = data::SampleRecord::nan_value();
+  }
+  const std::vector<data::SampleRecord> one(full.end() - 1, full.end());
+  // Shorter than the lag history: a C-only chain has nothing but the tail.
+  const std::vector<data::SampleRecord> short_window(full.begin(),
+                                                     full.begin() + 2);
+
+  core::Lumos5GConfig c_cfg;
+  c_cfg.feature_spec = data::FeatureSetSpec::parse("C");
+  c_cfg.gbdt.n_estimators = 10;
+  c_cfg.gbdt.max_depth = 3;
+  core::Lumos5G c_only(c_cfg);
+  ASSERT_TRUE(c_only.train(ds).has_value());
+  ASSERT_EQ(c_only.tier_specs().size(), 1u);
+  const Predictor tmc = make_predictor();
+  auto c_compiled = Predictor::compile(c_only);
+  ASSERT_TRUE(c_compiled.has_value());
+  const std::size_t n_tiers = tmc.tier_specs().size();
+  ASSERT_EQ(n_tiers, 3u);
+
+  struct Call {
+    const char* what;
+    std::span<const data::SampleRecord> window;
+    int want_tier;
+  };
+  // Each walk gets the windows it is checked on; a tier equal to the
+  // chain length is the harmonic tail.
+  const Call tmc_calls[] = {{"full", full, 0},
+                            {"no panel", no_panel, 1},
+                            {"one record", one, 2}};
+  const Call c_calls[] = {{"C full", full, 0}, {"C short", short_window, 1}};
+
+  std::size_t facade_allocs = 0;
+  std::size_t predictor_allocs = 0;
+  const auto walk = [](std::size_t& allocs, const Call& call, auto&& predict) {
+    int tier = -1;
+    allocs += allocations_in([&] {
+      const Expected<core::Prediction> p = predict(call.window);
+      tier = p.has_value() ? p->tier : -1;
+    });
+    EXPECT_EQ(tier, call.want_tier) << call.what;
+  };
+  for (int round = 0; round < 51; ++round) {
+    if (round == 1) {
+      facade_allocs = 0;  // round 0 is the warm-up
+      predictor_allocs = 0;
+    }
+    for (const Call& call : tmc_calls) {
+      walk(facade_allocs, call, [](auto w) { return facade().predict(w); });
+      walk(predictor_allocs, call, [&](auto w) { return tmc.predict(w); });
+    }
+    for (const Call& call : c_calls) {
+      walk(facade_allocs, call, [&](auto w) { return c_only.predict(w); });
+      walk(predictor_allocs, call,
+           [&](auto w) { return c_compiled->predict(w); });
+    }
+    // The serving floor past the last model tier leaves only the tail.
+    walk(predictor_allocs, {"tail floor", full, static_cast<int>(n_tiers)},
+         [&](auto w) { return tmc.predict(w, n_tiers); });
+  }
+  std::cout << "[ alloc    ] 50 rounds: allocations facade " << facade_allocs
+            << " predictor " << predictor_allocs << '\n';
+  EXPECT_EQ(facade_allocs, 0u)
+      << "Lumos5G::predict allocated after its warm-up call";
+  EXPECT_EQ(predictor_allocs, 0u)
+      << "Predictor::predict allocated after its warm-up call";
+}
+
+TEST(AllocFree, MultiLanePollNeverAllocates) {
   ManualClock clock(1'000);
   ServerConfig cfg = mixed_config();
   cfg.default_deadline_ms = 0;  // every drained request is a live window
   const auto server = make_server(cfg, clock, /*lanes=*/4);
-  // A poll of n live windows runs min(4, n) lanes; one lane runs inline
-  // and must not allocate at all.
+  // A poll of n live windows runs min(4, n) lanes over the pool, which
+  // reuses its one job record.
   const Traffic t = drive(*server, clock, /*rounds=*/300, /*n_ues=*/64);
   ThreadPool::global().set_threads(0);
   std::cout << "[ alloc    ] " << t.polls << " polls, "
@@ -283,10 +362,7 @@ TEST(AllocFree, MultiLanePollAllocatesOnlyThePoolJob) {
             << t.submit_allocations << " poll " << t.poll_allocations << '\n';
   EXPECT_GT(t.multi_window_polls, 100u);
   EXPECT_EQ(t.submit_allocations, 0u);
-  EXPECT_EQ(t.polls_over_one_job, 0u)
-      << "a poll allocated more than the one std::make_shared<Job> that "
-         "ThreadPool::parallel_for (src/common/parallel.cpp) makes per "
-         "fan-out";
+  EXPECT_EQ(t.poll_allocations, 0u);
 }
 
 }  // namespace

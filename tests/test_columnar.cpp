@@ -423,7 +423,6 @@ TEST(PredictorColumnar, MatchesPredictSpansAtEveryMinTier) {
           << "min_tier=" << min_tier << " window " << i;
       EXPECT_EQ(row_out[i]->throughput_class, col_out[i]->throughput_class);
       EXPECT_EQ(row_out[i]->tier, col_out[i]->tier);
-      EXPECT_EQ(row_out[i]->feature_group, col_out[i]->feature_group);
     }
   }
 }

@@ -189,7 +189,7 @@ TEST(Lumos5GFacade, TrainAndPredictOnline) {
   EXPECT_LT(pred->throughput_class, 3);
   // A full-context window is answered by the primary tier.
   EXPECT_EQ(pred->tier, 0);
-  EXPECT_EQ(pred->feature_group, "L+M+C");
+  EXPECT_EQ(predictor.tier_specs()[0].name(), "L+M+C");
 }
 
 TEST(Lumos5GFacade, UntrainedPredictIsTypedError) {

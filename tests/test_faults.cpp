@@ -312,14 +312,6 @@ TEST(Fallback, ChainDerivedFromPrimarySpec) {
   EXPECT_EQ(tiers[2].name(), "L+M");    // then C dropped
 }
 
-TEST(Fallback, DisabledKeepsSingleTier) {
-  Lumos5GConfig cfg;
-  cfg.feature_spec = FeatureSetSpec::parse("T+M+C");
-  cfg.fallback.enabled = false;
-  const Lumos5G predictor(cfg);
-  EXPECT_EQ(predictor.tier_specs().size(), 1u);
-}
-
 TEST(Fallback, MissingGeometryFallsToNextTier) {
   Lumos5GConfig cfg = pipeline_config();
   cfg.feature_spec = FeatureSetSpec::parse("T+M+C");
@@ -343,8 +335,7 @@ TEST(Fallback, MissingGeometryFallsToNextTier) {
   }
   const auto degraded = predictor.predict(window);
   ASSERT_TRUE(degraded.has_value());
-  EXPECT_GT(degraded->tier, 0);
-  EXPECT_EQ(degraded->feature_group, "L+M+C");
+  EXPECT_EQ(degraded->tier, 1);  // L+M+C
 }
 
 TEST(Fallback, GapInLagHistoryDropsCGroup) {
@@ -365,13 +356,12 @@ TEST(Fallback, GapInLagHistoryDropsCGroup) {
   }
   const auto pred = predictor.predict(window);
   ASSERT_TRUE(pred.has_value());
-  EXPECT_EQ(pred->feature_group, "L+M");
+  EXPECT_EQ(pred->tier, 1);  // L+M
 }
 
 TEST(Fallback, HarmonicTailServesOtherwiseUnusableWindow) {
   Lumos5GConfig cfg = pipeline_config();
   cfg.feature_spec = FeatureSetSpec::parse("C");
-  cfg.fallback.harmonic_window = 3;
   Lumos5G predictor(cfg);
   ASSERT_TRUE(predictor.train(base_ds()).has_value());
   ASSERT_EQ(predictor.tier_specs().size(), 1u);  // C alone has no sub-tier
@@ -386,16 +376,7 @@ TEST(Fallback, HarmonicTailServesOtherwiseUnusableWindow) {
   const auto pred = predictor.predict(window);
   ASSERT_TRUE(pred.has_value());
   EXPECT_EQ(pred->tier, 1);  // == tier_specs().size()
-  EXPECT_EQ(pred->feature_group, "harmonic");
   EXPECT_NEAR(pred->throughput_mbps, 200.0, 1e-9);
-
-  // With the tail disabled the same window is a typed error.
-  cfg.fallback.harmonic_tail = false;
-  Lumos5G strict(cfg);
-  ASSERT_TRUE(strict.train(base_ds()).has_value());
-  const auto err = strict.predict(window);
-  ASSERT_FALSE(err.has_value());
-  EXPECT_EQ(err.error().code, ErrorCode::kWindowUnusable);
 }
 
 TEST(Fallback, LoopAreaTrainsViaFallbackDespiteTPrimary) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -172,13 +173,12 @@ std::optional<ErrorCode> rejected_as(std::string_view bytes) {
   return loaded.error().code;
 }
 
-// Offsets that follow from the v3 layout model_io.h documents, for an
-// artifact whose config lists no explicit fallback tiers.
+// Offsets that follow from the v4 layout model_io.h documents.
 constexpr std::size_t kSizeAt = 9;
 constexpr std::size_t kLagsAt = 21;
-/// Tier 0's regressor forest: past the 17-byte header, the 54-byte config
+/// Tier 0's regressor forest: past the 17-byte header, the 36-byte config
 /// block, the u64 tier count and tier 0's trained byte.
-constexpr std::size_t kTier0Forest = 17 + 54 + 8 + 1;
+constexpr std::size_t kTier0Forest = 17 + 36 + 8 + 1;
 
 /// Node k's 16-byte record (f64 value, i32 feature, u32 left) in the
 /// forest record at `forest`: past base, scale, the root and node counts
@@ -264,7 +264,6 @@ TEST(ModelIo, PredictorRoundTripThroughFileMatchesFacade) {
     EXPECT_EQ(bits(a->throughput_mbps), bits(b->throughput_mbps));
     EXPECT_EQ(a->throughput_class, b->throughput_class);
     EXPECT_EQ(a->tier, b->tier);
-    EXPECT_EQ(a->feature_group, b->feature_group);
   }
 }
 
@@ -313,8 +312,8 @@ TEST(ModelIo, FutureVersionRejectedBeforeHashCheck) {
   // Patch the u32 version field at offset 4 to kFormatVersion + 1. The
   // hash no longer matches either, but version must win: the reader can't
   // trust its own layout knowledge on a future format. The previous
-  // version fails the same way: v2 artifacts (training-side tree records)
-  // are rejected, never parsed.
+  // version fails the same way: v3 artifacts (with the fallback settings
+  // in their config block) are rejected, never parsed.
   for (const std::uint32_t version : {kFormatVersion + 1, kFormatVersion - 1}) {
     std::string bytes = small_artifact();
     bytes[4] = static_cast<char>(version);
@@ -388,7 +387,6 @@ void expect_parse_error_and_rollback(const std::string& bytes) {
 TEST(ModelIo, TierWiderThanItsRowRejected) {
   const core::Lumos5G& good = small_facade();
   ASSERT_TRUE(good.tier_trained(0));
-  ASSERT_TRUE(good.config().fallback.tiers.empty());
   const std::size_t width =
       data::feature_width(good.tier_specs()[0], good.config().features);
   const std::size_t feature_at = node_at(small_artifact(), kTier0Forest, 0) + 8;
@@ -443,7 +441,7 @@ TEST(ModelIo, InvalidFeatureConfigRejected) {
 
 // ---------- seeded mutate-and-rehash fuzz of the reader ----------
 
-/// One 4- or 8-byte field of an artifact, found by walking the v3 layout
+/// One 4- or 8-byte field of an artifact, found by walking the v4 layout
 /// model_io.h documents, with the node count and row width of the forest
 /// and tier it sits in (outside a forest: those of the first forest).
 struct Field {
@@ -474,12 +472,8 @@ std::vector<std::vector<Field>> artifact_fields(std::string_view bytes,
     add(kind, {at, 8});
     at += 8;
   }
-  at += 1;  // fallback enabled
-  add("fallback tier count", {at, 8});
-  at += 8 + 4 * get_le(bytes, at, 8) + 1;  // fallback tiers, harmonic_tail
-  add("harmonic_window", {at, 8});
-  add("tier count", {at + 8, 8});
-  at += 16;
+  add("tier count", {at, 8});
+  at += 8;
   const auto forest = [&](std::uint64_t width) {
     const std::uint64_t n_roots = get_le(bytes, at + 16, 8);
     const std::uint64_t n_nodes = get_le(bytes, at + 24, 8);
@@ -701,7 +695,6 @@ TEST(Predictor, MatchesFacadeBitwise) {
     EXPECT_EQ(bits(a->throughput_mbps), bits(b->throughput_mbps));
     EXPECT_EQ(a->throughput_class, b->throughput_class);
     EXPECT_EQ(a->tier, b->tier);
-    EXPECT_EQ(a->feature_group, b->feature_group);
   }
 }
 
@@ -780,7 +773,6 @@ TEST(Predictor, LoadedPredictorMatchesCompiled) {
           << "min_tier " << min_tier << " window " << i;
       ASSERT_EQ(got[i]->throughput_class, want[i]->throughput_class);
       ASSERT_EQ(got[i]->tier, want[i]->tier);
-      ASSERT_EQ(got[i]->feature_group, want[i]->feature_group);
     }
   }
 }
@@ -811,6 +803,85 @@ TEST(Predictor, BatchMatchesIndividual) {
     EXPECT_EQ(bits(batch[i]->throughput_mbps), bits(single->throughput_mbps));
     EXPECT_EQ(batch[i]->throughput_class, single->throughput_class);
     EXPECT_EQ(batch[i]->tier, single->tier);
+  }
+}
+
+// ---------- the harmonic tail ----------
+
+// The one tail both walks end on, pinned to hand-computed answers: the
+// harmonic mean of the newest core::kHarmonicWindow positive finite
+// throughputs (NaN, zero, negative and infinite ones are skipped), classed
+// by the config's thresholds and reported as tier = chain length. Each
+// window goes through core::harmonic_tail, through Predictor::predict with
+// the walk starting past the last model tier, and through the batched walk
+// at that floor.
+TEST(HarmonicTail, HandComputedWindows) {
+  const auto compiled = Predictor::compile(small_facade());
+  ASSERT_TRUE(compiled.has_value());
+  const std::size_t n_tiers = compiled->tier_specs().size();
+  const data::FeatureConfig& features = small_facade().config().features;
+  ASSERT_EQ(features.low_mbps, 300.0);
+  ASSERT_EQ(features.high_mbps, 700.0);
+  ASSERT_EQ(core::kHarmonicWindow, 5u);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    std::vector<double> mbps;  ///< oldest first
+    double want_mbps;          ///< NaN: kWindowUnusable
+    int want_class;
+  };
+  const Case cases[] = {
+      // Newest first the usable values are 25, 800, 50, 200 and 400 (the
+      // 100 is past the window): 5 / (1/25 + 1/800 + 1/50 + 1/200 + 1/400)
+      // = 5 / (11/160) = 800/11, below 300 Mbps.
+      {"newest five of six usable",
+       {100, 400, kNaN, 0, -5, 200, 50, kInf, 800, 25},
+       800.0 / 11.0,
+       0},
+      // Only 900, 600 and 300: 3 / (1/900 + 1/600 + 1/300) = 3 / (11/1800)
+      // = 5400/11, between 300 and 700 Mbps.
+      {"three usable", {kNaN, 300, 0, 600, -kInf, 900, -1}, 5400.0 / 11.0, 1},
+      {"none usable", {0, -3, kNaN, kInf, -kInf}, kNaN, 0},
+  };
+
+  std::vector<std::vector<data::SampleRecord>> records;
+  for (const Case& c : cases) {
+    std::vector<data::SampleRecord>& w = records.emplace_back();
+    for (std::size_t i = 0; i < c.mbps.size(); ++i) {
+      data::SampleRecord s;
+      s.timestamp_s = static_cast<double>(i);
+      s.throughput_mbps = c.mbps[i];
+      w.push_back(s);
+    }
+  }
+  const std::vector<std::span<const data::SampleRecord>> windows(
+      records.begin(), records.end());
+  std::vector<Expected<core::Prediction>> batch(
+      windows.size(),
+      Expected<core::Prediction>(Error{ErrorCode::kNotTrained, ""}));
+  PredictScratch scratch;
+  scratch.reserve(windows.size(), compiled->max_width());
+  compiled->predict_spans_columnar(windows, batch, scratch, n_tiers);
+
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.name);
+    const Expected<core::Prediction> answers[] = {
+        core::harmonic_tail(windows[i], features, n_tiers),
+        compiled->predict(windows[i], n_tiers), batch[i]};
+    for (const Expected<core::Prediction>& got : answers) {
+      if (std::isnan(c.want_mbps)) {
+        ASSERT_FALSE(got.has_value());
+        EXPECT_EQ(got.error().code, ErrorCode::kWindowUnusable);
+        continue;
+      }
+      ASSERT_TRUE(got.has_value());
+      EXPECT_DOUBLE_EQ(got->throughput_mbps, c.want_mbps);
+      EXPECT_EQ(bits(got->throughput_mbps), bits(answers[0]->throughput_mbps));
+      EXPECT_EQ(got->throughput_class, c.want_class);
+      EXPECT_EQ(got->tier, static_cast<int>(n_tiers));
+    }
   }
 }
 
